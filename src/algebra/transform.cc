@@ -239,6 +239,9 @@ ExprPtr ReplaceAtImpl(const ExprPtr& root, const ExprPath& path, size_t depth,
                       ExprPtr replacement) {
   if (depth == path.size()) return replacement;
   FRO_CHECK(root != nullptr);
+  // Paths address binary children; an n-ary MultiwayJoin has none.
+  FRO_CHECK(root->kind() != OpKind::kMultiwayJoin)
+      << "ReplaceAt: path descends through a MultiwayJoin";
   const bool go_right = path[depth];
   ExprPtr new_left = root->left();
   ExprPtr new_right = root->right();
@@ -268,8 +271,11 @@ ExprPtr ReplaceAtImpl(const ExprPtr& root, const ExprPath& path, size_t depth,
       return Expr::Project(std::move(new_left), root->project_cols(),
                            root->project_dedup());
     case OpKind::kLeaf:
-      FRO_CHECK(false) << "path descends through a leaf";
+    case OpKind::kMultiwayJoin:
+      break;
   }
+  FRO_CHECK(false) << "ReplaceAt: path descends through a "
+                   << OpKindName(root->kind());
   return nullptr;
 }
 

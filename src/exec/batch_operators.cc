@@ -442,6 +442,124 @@ std::optional<double> NumericKey(const Value& v) {
 
 }  // namespace
 
+template <typename ValueAt>
+bool BatchHashJoinIterator::BuildFastIndex(size_t n,
+                                           const ColumnVector* key_col,
+                                           ValueAt value_at) {
+  size_t cap = 16;
+  while (cap < n * 2) cap <<= 1;
+  fast_buckets_.assign(cap, FastBucket{0.0, 0});
+  fast_next_.assign(n, 0);
+  fast_mask_ = cap - 1;
+  size_t cap_bits = 0;
+  while ((size_t{1} << cap_bits) < cap) ++cap_bits;
+  fast_shift_ = 64 - cap_bits;
+  // Bloom prefilter: 16 bits per bucket (cap * 2 bytes), addressed by
+  // the hash's top 32 bits so it is independent of the bucket index.
+  fast_bloom_.assign(cap * 2, 0);
+  fast_bloom_mask_ = cap * 2 - 1;
+  // Per-bucket chain tail during the build, so duplicate keys chain in
+  // build order (match order must equal the HashIndex path's).
+  std::vector<uint32_t> tails(cap, 0);
+  // Dense key pass when the key column is typed: one double/int load +
+  // null byte per row, no Value indirection. A kGeneric column (mixed
+  // int/double, strings) and row-only sources take the Value loop,
+  // which gives up on the first non-numeric key.
+  const bool dense_keys =
+      key_col != nullptr && (key_col->tag() == ColumnVector::Tag::kInt ||
+                             key_col->tag() == ColumnVector::Tag::kDouble ||
+                             key_col->tag() == ColumnVector::Tag::kEmpty);
+  for (size_t i = 0; i < n; ++i) {
+    double key;
+    if (dense_keys) {
+      if (key_col->is_null(i)) continue;  // kEmpty columns are all null
+      key = NormalizedNumericKey(*key_col, i);
+    } else {
+      const auto& v = value_at(i);
+      if (v.is_null()) continue;
+      const std::optional<double> k = NumericKey(v);
+      if (!k.has_value()) return false;
+      key = *k;
+    }
+    const uint64_t h = HashNumericKey(key);
+    const uint64_t bh = h >> 32;
+    fast_bloom_[(bh >> 3) & fast_bloom_mask_] |=
+        static_cast<uint8_t>(1u << (bh & 7));
+    size_t b = h >> fast_shift_;
+    while (fast_buckets_[b].head != 0 && !(fast_buckets_[b].key == key)) {
+      b = (b + 1) & fast_mask_;
+    }
+    if (fast_buckets_[b].head == 0) {
+      fast_buckets_[b] = FastBucket{key, static_cast<uint32_t>(i + 1)};
+    } else {
+      fast_next_[tails[b] - 1] = static_cast<uint32_t>(i + 1);
+    }
+    tails[b] = static_cast<uint32_t>(i + 1);
+  }
+  return true;
+}
+
+uint32_t BatchHashJoinIterator::FastLookup(double key) const {
+  const uint64_t h = HashNumericKey(key);
+  const uint64_t bh = h >> 32;
+  if (((fast_bloom_[(bh >> 3) & fast_bloom_mask_] >> (bh & 7)) & 1) == 0) {
+    return 0;
+  }
+  for (size_t b = h >> fast_shift_; fast_buckets_[b].head != 0;
+       b = (b + 1) & fast_mask_) {
+    if (fast_buckets_[b].key == key) return fast_buckets_[b].head;
+  }
+  return 0;
+}
+
+void BatchHashJoinIterator::ResolveStreamChunk(const ColumnVector& key_col,
+                                               size_t offset, size_t n) {
+  stream_hits_.clear();
+  probe_keys_.resize(n);
+  probe_hashes_.resize(n);
+  probe_has_.resize(n);
+  if (!HashColumns({&key_col}, offset, n, probe_keys_.data(),
+                   probe_hashes_.data(), probe_has_.data())) {
+    // Generic key column: one lookup per row.
+    for (size_t i = 0; i < n; ++i) {
+      const std::optional<double> k = NumericKey(key_col.ValueAt(offset + i));
+      const uint32_t head = k.has_value() ? FastLookup(*k) : 0;
+      if (head != 0) {
+        stream_hits_.push_back({static_cast<uint32_t>(offset + i), head});
+      }
+    }
+    return;
+  }
+  // The table indexes the small side, so most streamed rows miss. Pass 1
+  // keeps only the rows whose Bloom bit is set, compacted without a
+  // branch; pass 2 looks those few up in the table.
+  stream_cand_.resize(n);
+  const uint8_t* bloom = fast_bloom_.data();
+  const uint64_t bloom_mask = fast_bloom_mask_;
+  const uint64_t* hashes = probe_hashes_.data();
+  const uint8_t* has_key = probe_has_.data();
+  uint32_t* cand = stream_cand_.data();
+  size_t found = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t bh = hashes[i] >> 32;
+    cand[found] = static_cast<uint32_t>(i);
+    found += has_key[i] &
+             ((bloom[(bh >> 3) & bloom_mask] >> (bh & 7)) & 1u);
+  }
+  for (size_t c = 0; c < found; ++c) {
+    const uint32_t i = cand[c];
+    const double key = probe_keys_[i];
+    for (size_t b = hashes[i] >> fast_shift_; fast_buckets_[b].head != 0;
+         b = (b + 1) & fast_mask_) {
+      if (fast_buckets_[b].key == key) {
+        stream_hits_.push_back(
+            {static_cast<uint32_t>(offset + i), fast_buckets_[b].head});
+        break;
+      }
+    }
+  }
+}
+
 void BatchHashJoinIterator::OpenImpl() {
   left_->Open();
   residual_ = ResidualAfterEquiKeys(pred_, left_keys_, right_keys_);
@@ -496,84 +614,6 @@ void BatchHashJoinIterator::OpenImpl() {
     build_rel_ = &build_side_;
     shared_build_cols_ = nullptr;
   }
-  // Single numeric key: build the flat probe table instead of the
-  // generic HashIndex. Null keys are skipped (they never equi-match); a
-  // non-numeric key value anywhere on the build side falls back to the
-  // generic path, which handles heterogeneous keys.
-  use_fast_index_ = false;
-  if (left_key_positions_.size() == 1 &&
-      build_rel_->NumRows() < (size_t{1} << 30)) {
-    const int build_pos = build_rel_->scheme().IndexOf(right_keys_[0]);
-    FRO_CHECK_GE(build_pos, 0);
-    const size_t n = build_rel_->NumRows();
-    size_t cap = 16;
-    while (cap < n * 2) cap <<= 1;
-    fast_buckets_.assign(cap, FastBucket{0.0, 0});
-    fast_next_.assign(n, 0);
-    fast_mask_ = cap - 1;
-    size_t cap_bits = 0;
-    while ((size_t{1} << cap_bits) < cap) ++cap_bits;
-    fast_shift_ = 64 - cap_bits;
-    // Bloom prefilter: 16 bits per bucket (cap * 2 bytes), addressed by
-    // the hash's top 32 bits so it is independent of the bucket index.
-    fast_bloom_.assign(cap * 2, 0);
-    fast_bloom_mask_ = cap * 2 - 1;
-    // Per-bucket chain tail during the build, so duplicate keys chain in
-    // build order (match order must equal the HashIndex path's).
-    std::vector<uint32_t> tails(cap, 0);
-    use_fast_index_ = true;
-    // Dense key pass when the shared mirror holds the key column typed:
-    // one double/int load + null byte per row, no Value indirection. A
-    // kGeneric column (mixed int/double, strings) and the copied-drain
-    // path fall back to the row loop, which also demotes to the generic
-    // index on the first non-numeric key.
-    const ColumnVector* kc =
-        shared_build_cols_ != nullptr
-            ? &shared_build_cols_->Column(static_cast<size_t>(build_pos))
-            : nullptr;
-    const bool dense_keys =
-        kc != nullptr && (kc->tag() == ColumnVector::Tag::kInt ||
-                          kc->tag() == ColumnVector::Tag::kDouble ||
-                          kc->tag() == ColumnVector::Tag::kEmpty);
-    for (size_t i = 0; i < n; ++i) {
-      double key;
-      if (dense_keys) {
-        if (kc->is_null(i)) continue;  // kEmpty columns are all null
-        key = NormalizedNumericKey(*kc, i);
-      } else {
-        const Value& v =
-            build_rel_->row(i).value(static_cast<size_t>(build_pos));
-        if (v.is_null()) continue;
-        const std::optional<double> k = NumericKey(v);
-        if (!k.has_value()) {
-          use_fast_index_ = false;
-          break;
-        }
-        key = *k;
-      }
-      const uint64_t h = HashNumericKey(key);
-      const uint64_t bh = h >> 32;
-      fast_bloom_[(bh >> 3) & fast_bloom_mask_] |=
-          static_cast<uint8_t>(1u << (bh & 7));
-      size_t b = h >> fast_shift_;
-      while (fast_buckets_[b].head != 0 && !(fast_buckets_[b].key == key)) {
-        b = (b + 1) & fast_mask_;
-      }
-      if (fast_buckets_[b].head == 0) {
-        fast_buckets_[b] = FastBucket{key, static_cast<uint32_t>(i + 1)};
-      } else {
-        fast_next_[tails[b] - 1] = static_cast<uint32_t>(i + 1);
-      }
-      tails[b] = static_cast<uint32_t>(i + 1);
-    }
-  }
-  if (!use_fast_index_) {
-    fast_buckets_.clear();
-    fast_next_.clear();
-    fast_bloom_.clear();
-    normalized_build_ = NormalizeOnKeyColumns(*build_rel_, right_keys_);
-    index_ = std::make_unique<HashIndex>(normalized_build_, right_keys_);
-  }
   // Columnar emission whenever the probe discharges the whole predicate:
   // matches are appended column-by-column from the probe side's columns
   // and the build side's columnized mirror, instead of assembling a
@@ -594,6 +634,43 @@ void BatchHashJoinIterator::OpenImpl() {
     }
   }
   left_cols_.assign(left_->scheme().size(), nullptr);
+  held_.clear();
+  held_pos_ = 0;
+  build_left_ = false;
+  const size_t build_rows = build_rel_->NumRows();
+  // The flip covers the fast path's shape only: one numeric key, no
+  // residual, a mode that emits both sides (columnar, so the right rows
+  // already have the column mirror the stream reads).
+  if (left_key_positions_.size() == 1 && !right_cols_.empty() &&
+      build_rows < (size_t{1} << 30) &&
+      build_rows > kFlipMinBuildBatches * input_.capacity()) {
+    build_left_ = TryBuildLeft();
+  }
+  use_fast_index_ = build_left_;
+  // Single numeric key: build the flat probe table instead of the
+  // generic HashIndex. Null keys are skipped (they never equi-match); a
+  // non-numeric key value anywhere on the build side falls back to the
+  // generic path, which handles heterogeneous keys.
+  if (!build_left_ && left_key_positions_.size() == 1 &&
+      build_rows < (size_t{1} << 30)) {
+    const int build_pos = build_rel_->scheme().IndexOf(right_keys_[0]);
+    FRO_CHECK_GE(build_pos, 0);
+    const ColumnVector* kc =
+        shared_build_cols_ != nullptr
+            ? &shared_build_cols_->Column(static_cast<size_t>(build_pos))
+            : nullptr;
+    use_fast_index_ =
+        BuildFastIndex(build_rows, kc, [&](size_t i) -> const Value& {
+          return build_rel_->row(i).value(static_cast<size_t>(build_pos));
+        });
+  }
+  if (!use_fast_index_) {
+    fast_buckets_.clear();
+    fast_next_.clear();
+    fast_bloom_.clear();
+    normalized_build_ = NormalizeOnKeyColumns(*build_rel_, right_keys_);
+    index_ = std::make_unique<HashIndex>(normalized_build_, right_keys_);
+  }
   probe_dense_ = false;
   emit_left_.clear();
   emit_right_.clear();
@@ -603,6 +680,125 @@ void BatchHashJoinIterator::OpenImpl() {
   left_active_ = false;
   matches_ = nullptr;
   fast_match_ = 0;
+}
+
+bool BatchHashJoinIterator::TryBuildLeft() {
+  const size_t build_rows = build_rel_->NumRows();
+  size_t pulled = 0;
+  bool ended = false;
+  while (!ended && pulled * kFlipProbeShare <= build_rows) {
+    held_.emplace_back(input_.capacity());
+    if (left_->NextBatch(&held_.back())) {
+      pulled += held_.back().size();
+    } else {
+      held_.pop_back();
+      ended = true;
+    }
+  }
+  if (!ended) return false;
+  // The left input is the small side: gather its live rows into owned
+  // columns — they are the flat table's row space and the left half of
+  // every emitted row.
+  const size_t arity = left_->scheme().size();
+  left_build_cols_.assign(arity, ColumnVector());
+  std::vector<uint32_t> idx;
+  for (const TupleBatch& batch : held_) {
+    const size_t n = batch.size();
+    idx.resize(n);
+    for (size_t c = 0; c < arity; ++c) {
+      size_t off = 0;
+      const ColumnVector* col = batch.Column(c, &off);
+      for (size_t i = 0; i < n; ++i) {
+        idx[i] = static_cast<uint32_t>(off + batch.sel_index(i));
+      }
+      left_build_cols_[c].AppendGather(*col, idx.data(), n);
+    }
+  }
+  const ColumnVector& key_col =
+      left_build_cols_[static_cast<size_t>(left_key_positions_[0])];
+  if (!BuildFastIndex(pulled, &key_col,
+                      [&](size_t i) { return key_col.ValueAt(i); })) {
+    // A non-numeric left key: hash the right input after all, replaying
+    // the held batches as the probe input.
+    left_build_cols_.clear();
+    return false;
+  }
+  held_.clear();
+  for (size_t c = 0; c < arity; ++c) left_cols_[c] = &left_build_cols_[c];
+  left_off_ = 0;
+  left_matched_.assign(mode_ == JoinMode::kLeftOuter ? pulled : 0, 0);
+  stream_pos_ = 0;
+  stream_hits_.clear();
+  hit_pos_ = 0;
+  pad_pos_ = 0;
+  // Every left row is consumed once, as a probe would consume it.
+  mutable_stats().left_reads += pulled;
+  mutable_stats().probes += pulled;
+  return true;
+}
+
+bool BatchHashJoinIterator::NextLeftBatch() {
+  if (held_pos_ < held_.size()) {
+    std::swap(input_, held_[held_pos_++]);
+    return true;
+  }
+  held_.clear();
+  held_pos_ = 0;
+  return left_->NextBatch(&input_);
+}
+
+bool BatchHashJoinIterator::NextBatchFlipped(TupleBatch* out) {
+  const size_t cap = out->capacity();
+  const size_t rows = build_rel_->NumRows();
+  const int build_pos = build_rel_->scheme().IndexOf(right_keys_[0]);
+  const ColumnVector& key_col = *right_cols_[static_cast<size_t>(build_pos)];
+  const bool pad = mode_ == JoinMode::kLeftOuter;
+  uint64_t candidates = 0;
+  bool full = false;
+  for (;;) {
+    // Emit the current right row's partners: its chain of equal-keyed
+    // left rows, in left order.
+    while (fast_match_ != 0) {
+      if (out->NumRows() + emit_left_.size() >= cap) {
+        full = true;
+        break;
+      }
+      const uint32_t l = fast_match_ - 1;
+      ++candidates;
+      emit_left_.push_back(l);
+      emit_right_.push_back(stream_row_);
+      if (pad) left_matched_[l] = 1;
+      fast_match_ = fast_next_[l];
+    }
+    if (full) break;
+    if (hit_pos_ >= stream_hits_.size()) {
+      if (stream_pos_ >= rows) break;
+      // Find the next chunk's right rows with partners. Null keys never
+      // match; a non-numeric key cannot equal an all-numeric left key.
+      const size_t n = std::min(kStreamChunk, rows - stream_pos_);
+      ResolveStreamChunk(key_col, stream_pos_, n);
+      stream_pos_ += n;
+      hit_pos_ = 0;
+      continue;
+    }
+    stream_row_ = stream_hits_[hit_pos_].row;
+    fast_match_ = stream_hits_[hit_pos_].head;
+    ++hit_pos_;
+  }
+  mutable_stats().right_reads += candidates;
+  mutable_stats().predicate_evals += candidates;
+  if (!full && pad) {
+    // The stream is over: pad the left rows that never found a partner.
+    const size_t n = left_matched_.size();
+    for (; pad_pos_ < n; ++pad_pos_) {
+      if (left_matched_[pad_pos_]) continue;
+      if (out->NumRows() + emit_left_.size() >= cap) break;
+      emit_left_.push_back(static_cast<uint32_t>(pad_pos_));
+      emit_right_.push_back(ColumnVector::kNullIndex);
+    }
+  }
+  FlushGather(out);
+  return !out->empty();
 }
 
 void BatchHashJoinIterator::FlushGather(TupleBatch* out) {
@@ -626,6 +822,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
   // NextBatch() hands us a cleared batch; columnar emission claims it
   // before any row lands in it.
   if (columnar_emit_) out->BeginColumns(out_scheme_.size());
+  if (build_left_) return NextBatchFlipped(out);
   const size_t left_arity = left_cols_.size();
   // Gather-style emission: inner/left-outer matches accumulate as index
   // pairs and flush per column (FlushGather) instead of appending value
@@ -641,7 +838,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
           FlushGather(out);
           return true;
         }
-        if (!left_->NextBatch(&input_)) return !out->empty();
+        if (!NextLeftBatch()) return !out->empty();
         input_pos_ = 0;
         // Per-batch probe preparation. Fast-index probes hash the whole
         // key column densely in one HashColumns pass (falling back to
@@ -803,20 +1000,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
           const Tuple& lrow = input_.selected(input_pos_);
           const std::optional<double> key = NumericKey(
               lrow.value(static_cast<size_t>(left_key_positions_[0])));
-          if (key.has_value()) {
-            const uint64_t h = HashNumericKey(*key);
-            const uint64_t bh = h >> 32;
-            if ((fast_bloom_[(bh >> 3) & fast_bloom_mask_] >> (bh & 7)) & 1) {
-              size_t b = h >> fast_shift_;
-              while (fast_buckets_[b].head != 0) {
-                if (fast_buckets_[b].key == *key) {
-                  fast_match_ = fast_buckets_[b].head;
-                  break;
-                }
-                b = (b + 1) & fast_mask_;
-              }
-            }
-          }
+          if (key.has_value()) fast_match_ = FastLookup(*key);
         }
       } else {
         const Tuple& lrow = input_.selected(input_pos_);
@@ -966,6 +1150,9 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
 
 void BatchHashJoinIterator::CloseImpl() {
   left_->Close();
+  held_.clear();
+  left_build_cols_.clear();
+  left_matched_.clear();
   index_.reset();
   fast_buckets_.clear();
   fast_next_.clear();

@@ -190,6 +190,17 @@ class BatchNestedLoopJoinIterator : public BatchIterator {
 /// Hash join-like operator: builds once on the right input at Open(),
 /// probes a batch of left tuples at a time. The plan builder selects it
 /// only when equi-keys exist; the full predicate is re-checked.
+///
+/// Build-side flip: an inner or left-outer pure equi-join on one numeric
+/// key decides at Open(), from actual row counts, which input to hash.
+/// When the whole left input turns out to hold at most a quarter of the
+/// drained right input's rows (and the right input is large, see
+/// kFlipMinBuildBatches), the left rows are hashed instead and the right
+/// rows stream through that small table; a left outerjoin marks every
+/// left row that finds a partner and pads the rest after the stream.
+/// Output rows and ExecStats are the same in both orientations: left_reads
+/// and probes count left (anchor) rows, right_reads and predicate_evals
+/// count key-equal candidate pairs. Only the output order differs.
 class BatchHashJoinIterator : public BatchIterator {
  public:
   BatchHashJoinIterator(BatchIteratorPtr left, BatchIteratorPtr right,
@@ -203,12 +214,47 @@ class BatchHashJoinIterator : public BatchIterator {
     return {left_.get(), right_.get()};
   }
 
+  /// Whether the last Open() hashed the left input (the build-side flip)
+  /// rather than the right one. Kept after Close() for plan snapshots.
+  bool built_left() const { return build_left_; }
+
+  /// The flip engages only when the left input ends within
+  /// 1/kFlipProbeShare of the right input's row count — past that the
+  /// probe side is no longer clearly the smaller table to hash — and the
+  /// right input spans more than kFlipMinBuildBatches batches of the
+  /// operator's capacity, so small builds (which fit in cache anyway)
+  /// never pay for pulling left batches ahead of the build.
+  static constexpr size_t kFlipProbeShare = 4;
+  static constexpr size_t kFlipMinBuildBatches = 4;
+
  protected:
   void OpenImpl() override;
   bool NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override;
 
  private:
+  /// Fills the flat probe table over `n` rows. Keys come from `key_col`
+  /// when it is a typed numeric column, else from `value_at(i)`. Returns
+  /// false on the first non-numeric key (the table is then unusable).
+  template <typename ValueAt>
+  bool BuildFastIndex(size_t n, const ColumnVector* key_col,
+                      ValueAt value_at);
+  /// The flat table's chain head (row + 1) for a normalized key; 0 when
+  /// no row carries it.
+  uint32_t FastLookup(double key) const;
+  /// Flipped stream: fills stream_hits_ with the rows of the right key
+  /// column in [offset, offset + n) whose key is in the table.
+  void ResolveStreamChunk(const ColumnVector& key_col, size_t offset,
+                          size_t n);
+  /// Pulls left batches ahead of the build to decide the flip; on a flip
+  /// gathers them into left_build_cols_ and hashes those. Otherwise the
+  /// pulled batches stay in held_ for NextLeftBatch() to replay.
+  bool TryBuildLeft();
+  /// Next probe batch into input_: held batches first, then the input.
+  bool NextLeftBatch();
+  /// NextBatchImpl for the flipped orientation.
+  bool NextBatchFlipped(TupleBatch* out);
+
   BatchIteratorPtr left_;
   BatchIteratorPtr right_;
   PredicatePtr pred_;
@@ -257,11 +303,8 @@ class BatchHashJoinIterator : public BatchIterator {
   uint64_t fast_bloom_mask_ = 0;
   size_t fast_mask_ = 0;
   /// Home bucket = hash >> fast_shift_ (the hash's TOP log2(cap) bits).
-  /// The low bits are measurably non-uniform for small-integer doubles
-  /// (their bit patterns share long runs of trailing zeros, and the
-  /// multiply in HashNumericKey only propagates entropy upward), which
-  /// produced linear-probe clusters dozens of buckets long; the top bits
-  /// are well mixed and keep clusters near the theoretical minimum.
+  /// The Bloom prefilter reads the bits from 32 up, so the two overlap
+  /// only on tables past 2^14 buckets.
   size_t fast_shift_ = 64;
   uint32_t fast_match_ = 0;  // probe chain cursor (row + 1; 0 = done)
   bool use_fast_index_ = false;
@@ -310,6 +353,31 @@ class BatchHashJoinIterator : public BatchIterator {
   size_t match_pos_ = 0;
   bool left_had_match_ = false;
   const std::vector<size_t> no_matches_;
+  /// Build-side flip state. held_ keeps the left batches pulled while
+  /// deciding (whole batches, no rows copied) until they are replayed.
+  /// When flipped, left_build_cols_ holds the left rows the flat table
+  /// indexes, the right rows stream in chunks (stream_row_ is the one
+  /// whose chain fast_match_ walks), and a left outerjoin pads the
+  /// rows left_matched_ never marked, sweeping from pad_pos_.
+  bool build_left_ = false;
+  std::vector<TupleBatch> held_;
+  size_t held_pos_ = 0;
+  std::vector<ColumnVector> left_build_cols_;
+  std::vector<uint8_t> left_matched_;
+  size_t stream_pos_ = 0;
+  uint32_t stream_row_ = 0;
+  size_t pad_pos_ = 0;
+  /// The right rows stream in chunks of kStreamChunk: ResolveStreamChunk
+  /// lists the chunk's rows that have partners, as (right row, chain
+  /// head) pairs consumed from hit_pos_; stream_pos_ is the next chunk.
+  static constexpr size_t kStreamChunk = TupleBatch::kDefaultCapacity;
+  struct StreamHit {
+    uint32_t row;
+    uint32_t head;
+  };
+  std::vector<StreamHit> stream_hits_;
+  size_t hit_pos_ = 0;
+  std::vector<uint32_t> stream_cand_;
 };
 
 /// Sort-merge join-like operator (all four modes): blocking — both

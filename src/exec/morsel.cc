@@ -887,6 +887,7 @@ void MergeSnapshots(PlanOpStats* into, const PlanOpStats& other) {
   FRO_CHECK_EQ(into->children.size(), other.children.size())
       << "worker pipelines must be structurally identical";
   into->stats += other.stats;
+  into->built_left = into->built_left || other.built_left;
   for (size_t i = 0; i < into->children.size(); ++i) {
     MergeSnapshots(&into->children[i], other.children[i]);
   }

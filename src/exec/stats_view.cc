@@ -38,6 +38,9 @@ PlanOpStats SnapshotPlanStats(BatchIterator* root) {
     out.children.push_back(SnapshotPlanStats(adapter->tuple_child()));
     return out;
   }
+  if (auto* hash_join = dynamic_cast<BatchHashJoinIterator*>(root)) {
+    out.built_left = hash_join->built_left();
+  }
   if (auto* exchange = dynamic_cast<BatchExchangeIterator*>(root)) {
     // The exchange forwards merged rows without relational work of its
     // own; its spine, merged node-wise across workers (with the shared

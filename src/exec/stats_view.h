@@ -29,6 +29,10 @@ struct PlanOpStats {
   /// relational work, so pipeline totals skip them (their wrapped subtree
   /// appears as their only child and is accounted normally).
   bool passthrough = false;
+  /// True when a hash join hashed its left (anchor) input instead of its
+  /// right one — the batch hash join's build-side flip. EXPLAIN ANALYZE
+  /// shows it as `build=left`; the counters mean the same either way.
+  bool built_left = false;
   std::vector<PlanOpStats> children;
 
   bool is_source() const { return children.empty(); }

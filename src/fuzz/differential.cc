@@ -99,13 +99,17 @@ class Differ {
     if (WantCheck("batch-engine")) {
       ExpectOracle("batch-engine", ExecuteBatched(c_.query, *c_.db));
     }
-    if (WantCheck("batch-engine-cap1")) {
-      ExpectOracle("batch-engine-cap1",
-                   ExecuteBatched(c_.query, *c_.db, JoinAlgo::kAuto, 1));
-    }
-    if (WantCheck("batch-engine-cap3")) {
-      ExpectOracle("batch-engine-cap3",
-                   ExecuteBatched(c_.query, *c_.db, JoinAlgo::kAuto, 3));
+    for (const size_t capacity : {size_t{1}, size_t{3}}) {
+      const std::string check =
+          "batch-engine-cap" + std::to_string(capacity);
+      if (!WantCheck(check)) continue;
+      BatchIteratorPtr root =
+          BuildBatchIterator(c_.query, *c_.db, JoinAlgo::kAuto, capacity);
+      ExpectOracle(check, DrainBatches(root.get()));
+      ForEachOp(SnapshotPlanStats(root.get()),
+                [&](const PlanOpStats& op, int) {
+                  if (op.built_left) ++report_->hash_left_builds;
+                });
     }
   }
 

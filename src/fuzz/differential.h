@@ -6,6 +6,8 @@
 //   eval-nl / eval-hash    the materializing evaluator, both kernels
 //   tuple-engine           the Volcano pipeline
 //   batch-engine[-capN]    the vectorized pipeline at several capacities
+//                          (the tiny ones let the hash join's build-side
+//                          flip engage on fuzz-sized relations)
 //   parallel-engine-wN     the morsel-driven parallel pipeline at N
 //                          workers (tiny morsels force real splitting)
 //   wcoj-*                 forced multiway plans (every pure-join region
@@ -91,6 +93,9 @@ struct Divergence {
 struct DiffReport {
   std::vector<Divergence> divergences;
   uint64_t checks_run = 0;
+  /// Hash joins in the batch-engine-cap1/cap3 runs that hashed their
+  /// left input (the build-side flip) — how often the oracle covered it.
+  uint64_t hash_left_builds = 0;
 
   bool ok() const { return divergences.empty(); }
   std::string ToString() const;

@@ -243,6 +243,7 @@ int RunFlatCases(const FuzzArgs& args) {
   int failures = 0;
   int ran = 0;
   uint64_t checks = 0;
+  uint64_t left_builds = 0;
   const int total = args.have_case_seed ? 1 : args.cases;
   for (int i = 0; i < total; ++i) {
     if (out_of_budget()) break;
@@ -252,6 +253,7 @@ int RunFlatCases(const FuzzArgs& args) {
     DiffReport report = RunDifferential(fuzz_case);
     ++ran;
     checks += report.checks_run;
+    left_builds += report.hash_left_builds;
     if (!report.ok()) {
       ReportFailure(fuzz_case, report, args);
       if (++failures >= args.max_failures) {
@@ -271,6 +273,8 @@ int RunFlatCases(const FuzzArgs& args) {
       "flat: %d case(s), %llu checks, %d failure(s) in %.1fs (seed 0x%llx)\n",
       ran, static_cast<unsigned long long>(checks), failures,
       elapsed.count(), static_cast<unsigned long long>(args.seed));
+  std::printf("hash-join left builds: %llu\n",
+              static_cast<unsigned long long>(left_builds));
   return failures == 0 ? 0 : 1;
 }
 

@@ -221,6 +221,17 @@ Relation OracleEval(const ExprPtr& expr, const Database& db) {
     case OpKind::kProject:
       return BruteProject(OracleEval(expr->left(), db),
                           expr->project_cols(), expr->project_dedup());
+    case OpKind::kMultiwayJoin: {
+      // The filtered cross product of the operands in scheme order.
+      const std::vector<ExprPtr>& children = expr->mj_children();
+      FRO_CHECK(!children.empty()) << "MultiwayJoin without operands";
+      Relation acc = OracleEval(children[0], db);
+      for (size_t i = 1; i < children.size(); ++i) {
+        acc = BruteJoin(acc, OracleEval(children[i], db), nullptr);
+      }
+      if (expr->pred() == nullptr) return acc;
+      return BruteRestrict(acc, expr->pred());
+    }
   }
   FRO_CHECK(false) << "unreachable operator kind";
   return Relation();

@@ -93,6 +93,15 @@ bool Convertible(const Expr& node, const ConstraintSet& constraints) {
 ExprPtr Rewrite(const ExprPtr& expr, const ConstraintSet& constraints,
                 int* converted) {
   if (expr->is_leaf()) return expr;
+  if (expr->is_multiway()) {
+    std::vector<ExprPtr> children;
+    children.reserve(expr->mj_children().size());
+    for (const ExprPtr& child : expr->mj_children()) {
+      children.push_back(Rewrite(child, constraints, converted));
+    }
+    return Expr::MultiwayJoin(std::move(children), expr->pred(),
+                              expr->mj_var_order());
+  }
   ExprPtr left = expr->left() != nullptr
                      ? Rewrite(expr->left(), constraints, converted)
                      : nullptr;
@@ -127,9 +136,11 @@ ExprPtr Rewrite(const ExprPtr& expr, const ConstraintSet& constraints,
       return Expr::Project(left, expr->project_cols(),
                            expr->project_dedup());
     case OpKind::kLeaf:
+    case OpKind::kMultiwayJoin:
       break;
   }
-  FRO_CHECK(false);
+  FRO_CHECK(false) << "SimplifyWithConstraints: cannot rebuild a "
+                   << OpKindName(expr->kind());
   return nullptr;
 }
 

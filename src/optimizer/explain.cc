@@ -121,6 +121,7 @@ void RenderAnalyzeNode(const PlanOpStats& node, const Database& db,
   const ExecStats& s = node.stats;
   std::string line(static_cast<size_t>(depth) * 2, ' ');
   line += node.physical_name;
+  if (node.built_left) line += " build=left";
   if (node.source_expr != nullptr) {
     line += ": " + NodeLabel(*node.source_expr, db, /*with_pred=*/true);
     const double est = estimator.Estimate(node.source_expr);

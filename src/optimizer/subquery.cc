@@ -32,6 +32,18 @@ ExprPtr Visit(const ExprPtr& expr, const Database& db,
   }
 
   // Otherwise: rebuild with reordered children.
+  if (expr->is_multiway()) {
+    bool changed = false;
+    std::vector<ExprPtr> children;
+    children.reserve(expr->mj_children().size());
+    for (const ExprPtr& child : expr->mj_children()) {
+      children.push_back(Visit(child, db, cost_model, reordered));
+      changed = changed || children.back() != child;
+    }
+    if (!changed) return expr;
+    return Expr::MultiwayJoin(std::move(children), expr->pred(),
+                              expr->mj_var_order());
+  }
   ExprPtr left = expr->left() != nullptr
                      ? Visit(expr->left(), db, cost_model, reordered)
                      : nullptr;
@@ -61,9 +73,11 @@ ExprPtr Visit(const ExprPtr& expr, const Database& db,
       return Expr::Project(left, expr->project_cols(),
                            expr->project_dedup());
     case OpKind::kLeaf:
+    case OpKind::kMultiwayJoin:
       break;
   }
-  FRO_CHECK(false);
+  FRO_CHECK(false) << "ReorderSubqueries: cannot rebuild a "
+                   << OpKindName(expr->kind());
   return nullptr;
 }
 

@@ -133,16 +133,21 @@ class RelationColumns {
 };
 
 /// The hash the flat numeric probe tables key on: the normalized key's
-/// bit pattern spread by a multiply/xor-shift mix (ints widened to
-/// doubles leave most entropy in the high mantissa bits; the multiply
-/// diffuses it). Shared by the hash-join build and HashColumns so both
-/// sides of a probe agree.
+/// bit pattern through the 64-bit murmur3 finalizer, so every output bit
+/// depends on every input bit. Ints widened to doubles keep all their
+/// entropy in the high bits; a single multiply only carries it upward and
+/// left the bits the Bloom prefilter reads (32..46) partly constant —
+/// the filter then passed about half of all misses. Shared by the
+/// hash-join build and HashColumns so both sides of a probe agree.
 inline uint64_t HashNumericKey(double key) {
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(key));
   __builtin_memcpy(&bits, &key, sizeof(bits));
-  bits *= 0x9E3779B97F4A7C15ull;
-  bits ^= bits >> 32;
+  bits ^= bits >> 33;
+  bits *= 0xFF51AFD7ED558CCDull;
+  bits ^= bits >> 33;
+  bits *= 0xC4CEB9FE1A85EC53ull;
+  bits ^= bits >> 33;
   return bits;
 }
 

@@ -237,6 +237,164 @@ TEST(BatchNullKeyTest, NullHeavyOuterAntiSemiAgree) {
   }
 }
 
+// --- Hash join build-side flip ------------------------------------------
+
+// A probe side far smaller than the build side: at capacities 1 and 3 the
+// flip guard (build > 4 batches, probe <= build / 4) trips on 20 build
+// rows, so the same data runs in both orientations across the capacities.
+// Keys cover duplicates on both sides, preserved rows without a partner,
+// NULL on both sides, and int/double and -0.0/0.0 equality.
+class HashJoinFlipTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    p_ = *db_.AddRelation("P", {"k", "tag"});
+    b_ = *db_.AddRelation("B", {"k", "v"});
+    pk_ = db_.Attr("P", "k");
+    bk_ = db_.Attr("B", "k");
+    db_.AddRow(p_, {Value::Int(1), Value::Int(0)});
+    db_.AddRow(p_, {Value::Int(1), Value::Int(1)});      // duplicate key
+    db_.AddRow(p_, {Value::Int(2), Value::Int(2)});      // no partner
+    db_.AddRow(p_, {Value::Null(), Value::Int(3)});      // null key
+    db_.AddRow(p_, {Value::Double(-0.0), Value::Int(4)});  // equals 0
+    db_.AddRow(b_, {Value::Double(1.0), Value::Int(100)});  // int = double
+    db_.AddRow(b_, {Value::Double(1.0), Value::Int(101)});  // duplicate
+    db_.AddRow(b_, {Value::Int(0), Value::Int(102)});
+    db_.AddRow(b_, {Value::Double(0.0), Value::Int(103)});
+    db_.AddRow(b_, {Value::Null(), Value::Int(104)});
+    for (int i = 0; i < 15; ++i) {
+      db_.AddRow(b_, {Value::Int(10 + i), Value::Int(200 + i)});
+    }
+  }
+
+  ExprPtr Inner() const {
+    return Expr::Join(Expr::Leaf(p_, db_), Expr::Leaf(b_, db_),
+                      EqCols(pk_, bk_));
+  }
+  ExprPtr LeftOuter() const {
+    return Expr::OuterJoin(Expr::Leaf(p_, db_), Expr::Leaf(b_, db_),
+                           EqCols(pk_, bk_), /*preserves_left=*/true);
+  }
+
+  // Whether the root hash join hashed its left input when run at
+  // `capacity`; also checks the plan snapshot reports the same.
+  bool BuiltLeft(const ExprPtr& expr, size_t capacity) const {
+    BatchIteratorPtr root =
+        BuildBatchIterator(expr, db_, JoinAlgo::kAuto, capacity);
+    DrainBatches(root.get());
+    auto* join = dynamic_cast<BatchHashJoinIterator*>(root.get());
+    EXPECT_NE(join, nullptr);
+    if (join == nullptr) return false;
+    EXPECT_EQ(SnapshotPlanStats(root.get()).built_left, join->built_left());
+    return join->built_left();
+  }
+
+  Database db_;
+  RelId p_, b_;
+  AttrId pk_, bk_;
+};
+
+TEST_F(HashJoinFlipTest, InnerAndLeftOuterAgreeAcrossEngines) {
+  for (const ExprPtr& expr : {Inner(), LeftOuter()}) {
+    ExpectAllEnginesAgreeAllCapacities(expr, db_, JoinAlgo::kAuto);
+  }
+}
+
+// The fixture's key columns mix ints and doubles, so they are stored as
+// generic Values; typed (all-int or all-double) key columns take the
+// dense hashing paths on both sides of the flip.
+TEST(HashJoinFlipTypedTest, TypedKeyColumnsAgree) {
+  for (const bool doubles : {false, true}) {
+    auto key = [&](int k) {
+      return doubles ? Value::Double(k == 0 ? -0.0 : k) : Value::Int(k);
+    };
+    Database db;
+    const RelId p = *db.AddRelation("P", {"k"});
+    const RelId b = *db.AddRelation("B", {"k", "v"});
+    for (const int k : {1, 1, 2, 0}) db.AddRow(p, {key(k)});
+    db.AddRow(p, {Value::Null()});
+    for (const int k : {1, 1, 0}) db.AddRow(b, {key(k), Value::Int(k)});
+    db.AddRow(b, {doubles ? Value::Double(0.0) : Value::Int(0),
+                  Value::Int(9)});
+    db.AddRow(b, {Value::Null(), Value::Int(9)});
+    for (int i = 0; i < 15; ++i) db.AddRow(b, {key(10 + i), Value::Int(i)});
+    const ExprPtr leaf_p = Expr::Leaf(p, db);
+    const ExprPtr leaf_b = Expr::Leaf(b, db);
+    const PredicatePtr eq = EqCols(db.Attr("P", "k"), db.Attr("B", "k"));
+    for (const ExprPtr& expr :
+         {Expr::Join(leaf_p, leaf_b, eq),
+          Expr::OuterJoin(leaf_p, leaf_b, eq, /*preserves_left=*/true)}) {
+      BatchIteratorPtr root = BuildBatchIterator(expr, db, JoinAlgo::kAuto, 1);
+      DrainBatches(root.get());
+      auto* join = dynamic_cast<BatchHashJoinIterator*>(root.get());
+      ASSERT_NE(join, nullptr);
+      EXPECT_TRUE(join->built_left());
+      ExpectAllEnginesAgreeAllCapacities(expr, db, JoinAlgo::kAuto);
+    }
+  }
+}
+
+TEST_F(HashJoinFlipTest, FlipEngagesOnlyPastTheGuard) {
+  for (const ExprPtr& expr : {Inner(), LeftOuter()}) {
+    EXPECT_TRUE(BuiltLeft(expr, 1));
+    EXPECT_TRUE(BuiltLeft(expr, 3));
+    // 20 build rows are not more than 4 batches of 5 or 1024.
+    EXPECT_FALSE(BuiltLeft(expr, 5));
+    EXPECT_FALSE(BuiltLeft(expr, TupleBatch::kDefaultCapacity));
+  }
+}
+
+TEST_F(HashJoinFlipTest, ProbePastAQuarterOfTheBuildKeepsOrientation) {
+  // A sixth probe row passes 20 / 4: the pulled batches are replayed as
+  // the probe input instead.
+  db_.AddRow(p_, {Value::Int(12), Value::Int(5)});
+  for (const ExprPtr& expr : {Inner(), LeftOuter()}) {
+    EXPECT_FALSE(BuiltLeft(expr, 1));
+    EXPECT_FALSE(BuiltLeft(expr, 3));
+    ExpectAllEnginesAgreeAllCapacities(expr, db_, JoinAlgo::kAuto);
+  }
+}
+
+TEST_F(HashJoinFlipTest, OtherShapesKeepOrientation) {
+  const ExprPtr leaf_p = Expr::Leaf(p_, db_);
+  const ExprPtr leaf_b = Expr::Leaf(b_, db_);
+  const AttrId tag = db_.Attr("P", "tag");
+  const AttrId v = db_.Attr("B", "v");
+  const std::vector<ExprPtr> exprs = {
+      // A residual beyond the equi-key.
+      Expr::Join(leaf_p, leaf_b,
+                 AndOf(EqCols(pk_, bk_), CmpCols(CmpOp::kLt, tag, v))),
+      // Two key columns.
+      Expr::Join(leaf_p, leaf_b, AndOf(EqCols(pk_, bk_), EqCols(tag, v))),
+      Expr::Semijoin(leaf_p, leaf_b, EqCols(pk_, bk_), /*keeps_left=*/true),
+      Expr::Antijoin(leaf_p, leaf_b, EqCols(pk_, bk_), /*keeps_left=*/true),
+  };
+  for (const ExprPtr& expr : exprs) {
+    EXPECT_FALSE(BuiltLeft(expr, 1)) << expr->ToString();
+    ExpectAllEnginesAgreeAllCapacities(expr, db_, JoinAlgo::kAuto);
+  }
+}
+
+TEST_F(HashJoinFlipTest, FlippedJoinUnderAJoinAgrees) {
+  // The flipped join's columnar output feeds a second join as its
+  // (small) left input, which flips in turn at capacities 1 and 3.
+  const RelId c = *db_.AddRelation("C", {"v2", "w"});
+  for (int i = 0; i < 40; ++i) {
+    db_.AddRow(c, {Value::Int(100 + i % 6), Value::Int(i)});
+  }
+  const ExprPtr chain = Expr::OuterJoin(
+      LeftOuter(), Expr::Leaf(c, db_),
+      EqCols(db_.Attr("B", "v"), db_.Attr("C", "v2")),
+      /*preserves_left=*/true);
+  // 8 rows reach the outer join, within a quarter of C's 40.
+  EXPECT_TRUE(BuiltLeft(chain, 1));
+  BatchIteratorPtr root = BuildBatchIterator(chain, db_, JoinAlgo::kAuto, 1);
+  DrainBatches(root.get());
+  auto* inner = dynamic_cast<BatchHashJoinIterator*>(root->children()[0]);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_TRUE(inner->built_left());
+  ExpectAllEnginesAgreeAllCapacities(chain, db_, JoinAlgo::kAuto);
+}
+
 // Empty inputs on either or both sides of every join mode.
 TEST(BatchEmptyInputTest, EmptyRelationsAgree) {
   for (bool left_empty : {true, false}) {

@@ -83,6 +83,27 @@ TEST_F(ExplainTest, ExplainAnalyzeRendersEstimatedAndActual) {
   EXPECT_EQ(run.base_tuples_read, 11u);
 }
 
+TEST(ExplainAnalyzeFlipTest, ShowsWhichInputAHashJoinHashed) {
+  // Example 1 in its naive order at n = 5000: the top join's right input
+  // (R2 -> R3) spans more than four default batches while R1 holds one
+  // row, so that join hashes R1 instead. The counters do not change.
+  std::unique_ptr<Database> db = MakeExample1Database(5000);
+  ExprPtr query = Expr::Join(
+      Expr::Leaf(db->Rel("R1"), *db),
+      Expr::OuterJoin(Expr::Leaf(db->Rel("R2"), *db),
+                      Expr::Leaf(db->Rel("R3"), *db),
+                      EqCols(db->Attr("R2", "fk"), db->Attr("R3", "k"))),
+      EqCols(db->Attr("R1", "k"), db->Attr("R2", "k")));
+  ExplainAnalyzeResult run = ExplainAnalyze(query, *db);
+  EXPECT_NE(run.text.find("HashJoin build=left: Join [R1.k=R2.k]"),
+            std::string::npos)
+      << run.text;
+  EXPECT_NE(run.text.find("HashJoin: OuterJoin"), std::string::npos)
+      << run.text;
+  EXPECT_EQ(run.result.NumRows(), 1u);
+  EXPECT_EQ(run.base_tuples_read, 2u * 5000u + 1u);
+}
+
 TEST_F(ExplainTest, ExplainAnalyzeHonorsJoinAlgo) {
   ExplainAnalyzeResult run =
       ExplainAnalyze(query_, *db_, JoinAlgo::kNestedLoop);

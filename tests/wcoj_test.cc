@@ -8,10 +8,14 @@
 #include <vector>
 
 #include "algebra/eval.h"
+#include "algebra/transform.h"
 #include "common/rng.h"
 #include "exec/build.h"
+#include "fuzz/oracle.h"
+#include "optimizer/constraints.h"
 #include "optimizer/cost.h"
 #include "optimizer/optimizer.h"
+#include "optimizer/subquery.h"
 #include "optimizer/wcoj_rewrite.h"
 #include "relational/index_manager.h"
 #include "testing/datagen.h"
@@ -322,6 +326,100 @@ TEST(WcojRewriteTest, OptimizeReportsMultiwayCollapse) {
   ASSERT_TRUE(binary.ok());
   EXPECT_EQ(binary->PassApplications("wcoj"), 0);
   EXPECT_EQ(FindMultiway(binary->plan), nullptr);
+}
+
+// --- Plan functions over multiway nodes ----------------------------------
+
+// A triangle core whose R0 operand is an outerjoin chain R0 -> R3 -> R4,
+// collapsed into MJ(R0 -> R3 -> R4, R1, R2). R0.a0 references R3.a0.
+struct ShellTriangle {
+  Database db;
+  ExprPtr query;
+  ExprPtr forced;
+};
+
+void MakeShellTriangle(ShellTriangle* t) {
+  Database& db = t->db;
+  const RelId r0 = *db.AddRelation("R0", {"a0", "a1"});
+  const RelId r1 = *db.AddRelation("R1", {"a0", "a1"});
+  const RelId r2 = *db.AddRelation("R2", {"a0", "a1"});
+  const RelId r3 = *db.AddRelation("R3", {"a0", "a1"});
+  const RelId r4 = *db.AddRelation("R4", {"a0", "a1"});
+  db.AddRow(r0, {Value::Int(0), Value::Int(0)});
+  db.AddRow(r0, {Value::Int(1), Value::Int(1)});
+  db.AddRow(r1, {Value::Int(0), Value::Int(1)});
+  db.AddRow(r1, {Value::Int(1), Value::Int(0)});
+  db.AddRow(r2, {Value::Int(1), Value::Int(0)});
+  db.AddRow(r2, {Value::Int(0), Value::Int(1)});
+  db.AddRow(r3, {Value::Int(0), Value::Int(5)});
+  db.AddRow(r3, {Value::Int(1), Value::Int(6)});
+  db.AddRow(r4, {Value::Int(5), Value::Int(9)});
+  ExprPtr shell = Expr::OuterJoin(
+      Expr::OuterJoin(Expr::Leaf(r0, db), Expr::Leaf(r3, db),
+                      EqCols(db.Attr("R0", "a0"), db.Attr("R3", "a0")),
+                      /*preserves_left=*/true),
+      Expr::Leaf(r4, db), EqCols(db.Attr("R3", "a1"), db.Attr("R4", "a0")),
+      /*preserves_left=*/true);
+  t->query = Expr::Join(
+      Expr::Join(shell, Expr::Leaf(r1, db),
+                 EqCols(db.Attr("R0", "a1"), db.Attr("R1", "a0"))),
+      Expr::Leaf(r2, db),
+      AndOf(EqCols(db.Attr("R1", "a1"), db.Attr("R2", "a0")),
+            EqCols(db.Attr("R2", "a1"), db.Attr("R0", "a0"))));
+  t->forced = ForceMultiwayJoins(t->query);
+}
+
+TEST(MultiwayNodeTest, OracleEvaluatesMultiwayJoin) {
+  ShellTriangle t;
+  MakeShellTriangle(&t);
+  ASSERT_TRUE(t.forced->is_multiway());
+  const Relation expected = Eval(t.query, t.db);
+  EXPECT_GT(expected.NumRows(), 0u);
+  EXPECT_TRUE(BagEquals(OracleEval(t.forced, t.db), expected));
+}
+
+TEST(MultiwayNodeTest, ReplaceAtStopsAtMultiwayJoin) {
+  ShellTriangle t;
+  MakeShellTriangle(&t);
+  ASSERT_TRUE(t.forced->is_multiway());
+  ExprPtr wrapped = Expr::Restrict(
+      t.forced, CmpLit(CmpOp::kGe, t.db.Attr("R1", "a0"), Value::Int(0)));
+  // Replacing the multiway node itself rebuilds its parent.
+  ExprPtr replaced = ReplaceAt(wrapped, {false}, t.query);
+  ASSERT_NE(replaced, nullptr);
+  EXPECT_EQ(replaced->kind(), OpKind::kRestrict);
+  EXPECT_EQ(replaced->left(), t.query);
+  // A binary path cannot address the n-ary node's operands.
+  EXPECT_DEATH(ReplaceAt(wrapped, {false, false}, Expr::Leaf(0, t.db)),
+               "MultiwayJoin");
+}
+
+TEST(MultiwayNodeTest, SubqueryReorderRebuildsMultiwayOperands) {
+  ShellTriangle t;
+  MakeShellTriangle(&t);
+  ASSERT_TRUE(t.forced->is_multiway());
+  CostModel cost_model(t.db, CostKind::kCout);
+  SubqueryReorderResult result =
+      ReorderSubqueries(t.forced, t.db, cost_model);
+  ASSERT_NE(result.expr, nullptr);
+  ASSERT_TRUE(result.expr->is_multiway());
+  // The three-relation outerjoin chain inside the node is an island.
+  EXPECT_EQ(result.subqueries_reordered, 1);
+  EXPECT_TRUE(BagEquals(Eval(result.expr, t.db), Eval(t.query, t.db)));
+}
+
+TEST(MultiwayNodeTest, ConstraintSimplifyRebuildsMultiwayOperands) {
+  ShellTriangle t;
+  MakeShellTriangle(&t);
+  ASSERT_TRUE(t.forced->is_multiway());
+  ConstraintSet constraints;
+  constraints.AddForeignKey(t.db.Attr("R0", "a0"), t.db.Attr("R3", "a0"));
+  Result<ConstraintSimplifyResult> result =
+      SimplifyWithConstraints(t.forced, constraints, t.db);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->expr->is_multiway());
+  EXPECT_EQ(result->converted, 1);
+  EXPECT_TRUE(BagEquals(Eval(result->expr, t.db), Eval(t.query, t.db)));
 }
 
 }  // namespace
