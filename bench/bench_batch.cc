@@ -1,27 +1,24 @@
-// Tuple-vs-batch engine comparison on the pipelines the batch executor
-// was built for: scan -> filter and scan -> filter -> hash join over
-// 100k+ base tuples, plus a null-padding left outerjoin. Both engines
-// execute the identical Expr plan.
+// Batch-engine throughput on the pipelines the batch executor was built
+// for: scan -> filter and scan -> filter -> hash join over 100k+ base
+// tuples, plus a null-padding left outerjoin.
 //
 // Each pipeline is measured under two consumers:
 //   * stream — the pipeline is drained into a checksum (count + int
-//     column sum), so the numbers compare the engines themselves;
-//   * materialize — Drain/DrainBatches into a Relation, the end-to-end
-//     cost a caller keeping the full result pays. The materialization
-//     sink (one allocation per emitted row) is identical for both
-//     engines and dilutes the engine ratio, which is why it is reported
-//     separately.
+//     column sum), so the numbers measure the engine itself;
+//   * materialize — DrainBatches into a Relation, the end-to-end cost a
+//     caller keeping the full result pays (one allocation per emitted
+//     row on top of the stream).
+// The two consumers' results are cross-checked against each other.
 //
-// Emits a JSON array of {pipeline, rows, out_rows, tuple_ns, batch_ns,
-// tuple_mtps, batch_mtps, speedup, tuple_materialize_ns,
-// batch_materialize_ns, materialize_speedup} rows on stdout
-// (scripts/bench.sh redirects it into BENCH_PR7.json). Every *_ns field
-// is the median of the repetitions, with the observed spread alongside
-// as *_min_ns / *_max_ns — a run whose median sits far from its min was
-// noisy, and the baseline-comparison gate (scripts/bench_compare.py)
-// reads the spread to tell regressions from noise. `--smoke` lowers the
-// repetition count (never below 5) but keeps the 100k-tuple scale, so
-// the CI artifact still documents the headline comparison.
+// Emits a JSON array of {pipeline, rows, out_rows, batch_ns, batch_mtps,
+// batch_materialize_ns} rows on stdout (scripts/bench.sh redirects it
+// into BENCH_PR7.json). Every *_ns field is the median of the
+// repetitions, with the observed spread alongside as *_min_ns / *_max_ns
+// — a run whose median sits far from its min was noisy, and the
+// baseline-comparison gate (scripts/bench_compare.py) reads the spread
+// to tell regressions from noise. `--smoke` lowers the repetition count
+// (never below 5) but keeps the 100k-tuple scale, so the CI artifact
+// still documents the headline numbers.
 
 #include <algorithm>
 #include <chrono>
@@ -60,30 +57,19 @@ struct Report {
   const char* pipeline;
   size_t rows;
   size_t out_rows;
-  Timing tuple;
   Timing batch;
-  Timing tuple_materialize;
   Timing batch_materialize;
 };
 
 struct Checksum {
   uint64_t count = 0;
   int64_t sum = 0;
-
-  void Consume(const Tuple& tuple) {
-    ++count;
-    const Value& v = tuple.value(0);
-    if (v.kind() == Value::Kind::kInt) sum += v.AsInt();
-  }
-  bool operator==(const Checksum& other) const {
-    return count == other.count && sum == other.sum;
-  }
 };
 
-/// The batch engine's streaming consumer reads column 0 columnar-wise:
-/// the result-equivalent of Consume() per live row, without forcing a
-/// columnar join output through row materialization (which is exactly
-/// the cost the streaming numbers exist to exclude — see file comment).
+/// The streaming consumer reads column 0 columnar-wise: a row count plus
+/// the int column sum, without forcing a columnar join output through
+/// row materialization (which is exactly the cost the streaming numbers
+/// exist to exclude — see file comment).
 void ConsumeBatch(const TupleBatch& batch, Checksum* sum) {
   const size_t n = batch.size();
   if (n == 0) return;
@@ -115,8 +101,7 @@ void ConsumeBatch(const TupleBatch& batch, Checksum* sum) {
   }
 }
 
-// Median-of-`reps` wall time with min/max spread; both engines get
-// identical treatment.
+// Median-of-`reps` wall time with min/max spread.
 template <typename RunOnce>
 Timing MeasureReps(int reps, RunOnce&& run_once) {
   std::vector<int64_t> samples;
@@ -136,23 +121,15 @@ Timing MeasureReps(int reps, RunOnce&& run_once) {
   return t;
 }
 
-Report Compare(const char* name, const ExprPtr& expr, const Database& db,
+Report Measure(const char* name, const ExprPtr& expr, const Database& db,
                size_t base_rows, int reps) {
   Report report;
   report.pipeline = name;
   report.rows = base_rows;
 
-  // Streaming consumers: engine throughput without the materialization
-  // sink. The checksums double as a result cross-check.
-  Checksum tuple_sum, batch_sum;
-  report.tuple = MeasureReps(reps, [&] {
-    IteratorPtr root = BuildIterator(expr, db);
-    tuple_sum = Checksum();
-    root->Open();
-    Tuple tuple;
-    while (root->Next(&tuple)) tuple_sum.Consume(tuple);
-    root->Close();
-  });
+  // Streaming consumer: engine throughput without the materialization
+  // sink.
+  Checksum batch_sum;
   report.batch = MeasureReps(reps, [&] {
     BatchIteratorPtr root = BuildBatchIterator(expr, db);
     batch_sum = Checksum();
@@ -161,23 +138,16 @@ Report Compare(const char* name, const ExprPtr& expr, const Database& db,
     while (root->NextBatch(&batch)) ConsumeBatch(batch, &batch_sum);
     root->Close();
   });
-  FRO_CHECK(tuple_sum == batch_sum) << "engines disagree on " << name;
   report.out_rows = batch_sum.count;
 
-  // Materializing consumers: the end-to-end Drain cost.
-  Relation tuple_out(Scheme{});
+  // Materializing consumer: the end-to-end drain cost.
   Relation batch_out(Scheme{});
-  report.tuple_materialize = MeasureReps(reps, [&] {
-    IteratorPtr root = BuildIterator(expr, db);
-    tuple_out = Drain(root.get());
-  });
   report.batch_materialize = MeasureReps(reps, [&] {
     BatchIteratorPtr root = BuildBatchIterator(expr, db);
     batch_out = DrainBatches(root.get());
   });
-  FRO_CHECK_EQ(tuple_out.NumRows(), batch_out.NumRows())
-      << "engines disagree on " << name;
-  FRO_CHECK_EQ(batch_out.NumRows(), batch_sum.count);
+  FRO_CHECK_EQ(batch_out.NumRows(), batch_sum.count)
+      << "consumers disagree on " << name;
   return report;
 }
 
@@ -185,37 +155,21 @@ void Emit(const std::vector<Report>& reports) {
   std::printf("[\n");
   for (size_t i = 0; i < reports.size(); ++i) {
     const Report& r = reports[i];
-    const double tuple_mtps = static_cast<double>(r.rows) * 1e3 /
-                              static_cast<double>(r.tuple.median_ns);
     const double batch_mtps = static_cast<double>(r.rows) * 1e3 /
                               static_cast<double>(r.batch.median_ns);
     std::printf(
         "  {\"pipeline\": \"%s\", \"rows\": %zu, \"out_rows\": %zu, "
-        "\"tuple_ns\": %lld, \"tuple_min_ns\": %lld, \"tuple_max_ns\": %lld, "
         "\"batch_ns\": %lld, \"batch_min_ns\": %lld, \"batch_max_ns\": %lld, "
-        "\"tuple_mtps\": %.2f, \"batch_mtps\": %.2f, \"speedup\": %.2f, "
-        "\"tuple_materialize_ns\": %lld, \"tuple_materialize_min_ns\": %lld, "
-        "\"tuple_materialize_max_ns\": %lld, "
+        "\"batch_mtps\": %.2f, "
         "\"batch_materialize_ns\": %lld, \"batch_materialize_min_ns\": %lld, "
-        "\"batch_materialize_max_ns\": %lld, "
-        "\"materialize_speedup\": %.2f}%s\n",
+        "\"batch_materialize_max_ns\": %lld}%s\n",
         r.pipeline, r.rows, r.out_rows,
-        static_cast<long long>(r.tuple.median_ns),
-        static_cast<long long>(r.tuple.min_ns),
-        static_cast<long long>(r.tuple.max_ns),
         static_cast<long long>(r.batch.median_ns),
         static_cast<long long>(r.batch.min_ns),
-        static_cast<long long>(r.batch.max_ns), tuple_mtps, batch_mtps,
-        static_cast<double>(r.tuple.median_ns) /
-            static_cast<double>(r.batch.median_ns),
-        static_cast<long long>(r.tuple_materialize.median_ns),
-        static_cast<long long>(r.tuple_materialize.min_ns),
-        static_cast<long long>(r.tuple_materialize.max_ns),
+        static_cast<long long>(r.batch.max_ns), batch_mtps,
         static_cast<long long>(r.batch_materialize.median_ns),
         static_cast<long long>(r.batch_materialize.min_ns),
         static_cast<long long>(r.batch_materialize.max_ns),
-        static_cast<double>(r.tuple_materialize.median_ns) /
-            static_cast<double>(r.batch_materialize.median_ns),
         i + 1 < reports.size() ? "," : "");
   }
   std::printf("]\n");
@@ -260,12 +214,12 @@ int Main(int argc, char** argv) {
 
   std::vector<Report> reports;
   reports.push_back(
-      Compare("scan_filter", Expr::Restrict(leaf_r(), half), db, kRows, reps));
-  reports.push_back(Compare(
+      Measure("scan_filter", Expr::Restrict(leaf_r(), half), db, kRows, reps));
+  reports.push_back(Measure(
       "scan_filter_hashjoin",
       Expr::Join(Expr::Restrict(leaf_r(), half), leaf_s(), keys), db, kRows,
       reps));
-  reports.push_back(Compare(
+  reports.push_back(Measure(
       "scan_filter_leftouter",
       Expr::OuterJoin(Expr::Restrict(leaf_r(), half), leaf_s(), keys,
                       /*preserves_left=*/true),

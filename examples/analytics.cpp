@@ -50,7 +50,7 @@ void Report(const Database& db, const char* title, const char* query_text) {
   }
   std::printf("-- %s\n", plan->Summary().c_str());
   std::printf("%s", Explain(plan->plan, db).c_str());
-  Relation out = ExecutePipelined(plan->plan, db);
+  Relation out = ExecuteBatched(plan->plan, db);
   std::printf("%s(%zu rows)\n", CanonicalString(out, &db.catalog()).c_str(),
               out.NumRows());
   // Cross-check the two executors while we are at it.

@@ -184,8 +184,7 @@ void RunAnalyze(const NestedDb& db, const std::string& query) {
   const CardinalityFeedback feedback = LocalFeedback().Snapshot();
   ExplainAnalyzeResult analyzed =
       ExplainAnalyze(run->optimize.plan, *run->translation.db,
-                     JoinAlgo::kAuto, ExecEngine::kBatch, /*threads=*/1,
-                     &feedback);
+                     JoinAlgo::kAuto, /*threads=*/1, &feedback);
   std::printf("%s", analyzed.text.c_str());
   // Same per-pass rendering as the server's ANALYZE verb and STATS.
   std::printf("%s", FormatPassStats(run->optimize.passes).c_str());

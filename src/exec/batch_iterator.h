@@ -1,18 +1,26 @@
 // Batch-at-a-time pipelined execution: every physical operator is a
-// batch iterator with Open/NextBatch/Close. Semantically identical to the
-// tuple-at-a-time engine in exec/iterator.h — the equivalence suite
-// asserts byte-identical results and identical ExecStats counters — but
-// interpretation overhead (virtual dispatch, ExecControl checks, clock
-// reads under timing) is paid once per TupleBatch instead of once per
-// tuple.
+// batch iterator with Open/NextBatch/Close. This is the executor a
+// downstream system embeds; the materializing evaluator in algebra/eval.h
+// remains the counter reference (tests assert the two agree on results
+// and on execution counters), and the brute-force oracle in fuzz/oracle.h
+// the semantic one. Interpretation overhead (virtual dispatch,
+// ExecControl checks, clock reads under timing) is paid once per
+// TupleBatch instead of once per tuple.
 //
+// Instrumentation: each iterator owns an ExecStats filled as it runs —
+// tuples pulled from each child, tuples emitted, predicate evaluations,
+// index probes, and (when enabled) wall-clock time spent in Open/Next.
 // The counters follow the kernel accounting of relational/ops.h exactly,
 // tuple for tuple: a batch filter that inspects 1024 tuples adds 1024 to
-// left_reads and predicate_evals, just as 1024 Next() calls would.
+// left_reads and predicate_evals. Summing the non-scan operators of a
+// pipeline reproduces the totals the materializing evaluator reports for
+// the same expression. Open() resets the counters, keeping rescans
+// self-contained.
 
 #ifndef FRO_EXEC_BATCH_ITERATOR_H_
 #define FRO_EXEC_BATCH_ITERATOR_H_
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <vector>
@@ -20,11 +28,68 @@
 #include "algebra/expr.h"
 #include "common/status.h"
 #include "exec/batch.h"
-#include "exec/iterator.h"
 #include "relational/exec_stats.h"
 #include "relational/relation.h"
 
 namespace fro {
+
+/// Cooperative interruption of a running pipeline: a cancel flag any
+/// thread may raise and an optional wall-clock deadline. Every operator
+/// consults the control at the top of NextBatch(), so a pipeline stops
+/// within one batch of the request at any depth.
+///
+/// Threading: RequestCancel() may be called from any thread; arming the
+/// deadline belongs to the driving thread, before Open(). ShouldStopBatch(),
+/// stopped(), and status() are safe from concurrent worker threads — the
+/// morsel-parallel executor shares one control across all workers, so
+/// both stop flags are relaxed atomics.
+class ExecControl {
+ public:
+  /// Raises the cancel flag; safe from any thread, idempotent.
+  void RequestCancel() { cancelled_.store(true, std::memory_order_relaxed); }
+
+  /// Arms the deadline. Call before Open(), from the driving thread.
+  void set_deadline(std::chrono::steady_clock::time_point deadline) {
+    has_deadline_ = true;
+    deadline_ = deadline;
+  }
+
+  /// True once the pipeline should stop producing. Always consults the
+  /// clock when a deadline is armed: it runs once per TupleBatch, so the
+  /// batch size already amortizes the read.
+  bool ShouldStopBatch() {
+    if (cancelled_.load(std::memory_order_relaxed)) return true;
+    if (deadline_hit_.load(std::memory_order_relaxed)) return true;
+    if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
+      deadline_hit_.store(true, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
+  }
+
+  /// True if any stop condition fired (without re-checking the clock).
+  bool stopped() const {
+    return deadline_hit_.load(std::memory_order_relaxed) ||
+           cancelled_.load(std::memory_order_relaxed);
+  }
+
+  /// Why the pipeline stopped: Cancelled, DeadlineExceeded, or OK.
+  Status status() const {
+    if (cancelled_.load(std::memory_order_relaxed)) {
+      return fro::Cancelled("query cancelled");
+    }
+    if (deadline_hit_.load(std::memory_order_relaxed)) {
+      return DeadlineExceeded("query deadline exceeded");
+    }
+    return Status::Ok();
+  }
+
+ private:
+  std::atomic<bool> cancelled_{false};
+  bool has_deadline_ = false;
+  std::atomic<bool> deadline_hit_{false};
+  std::chrono::steady_clock::time_point deadline_{};
+};
 
 /// Pull-based batch iterator. Lifecycle: Open() -> NextBatch()* ->
 /// Close(); Open() after Close() rescans. Subclasses implement the *Impl
@@ -70,24 +135,27 @@ class BatchIterator {
   /// The output scheme; valid before Open().
   virtual const Scheme& scheme() const = 0;
 
-  /// Physical operator name. Batch operators reuse the tuple engine's
-  /// names ("Scan", "HashJoin", ...) so per-operator metrics rollups are
-  /// engine-agnostic; the engine is reported separately.
+  /// Physical operator name, e.g. "HashJoin"; per-operator metrics
+  /// rollups key on it.
   virtual const char* physical_name() const = 0;
 
-  /// Child operators, in (left, right) order; empty for leaves.
+  /// Child operators, in (left, right) order; empty for leaves. Pointers
+  /// stay valid for this iterator's lifetime.
   virtual std::vector<BatchIterator*> children() const { return {}; }
 
   /// Counters since the last Open().
   const ExecStats& stats() const { return stats_; }
   uint64_t produced() const { return stats_.emitted; }
 
+  /// The expression node this operator implements; set by the plan
+  /// builder, null for hand-assembled pipelines.
   const ExprPtr& source_expr() const { return source_; }
   void set_source_expr(ExprPtr expr) { source_ = std::move(expr); }
 
   /// Wall-clock collection for this subtree; one clock pair per batch,
-  /// not per tuple. Virtual so adapters can forward into a wrapped
-  /// tuple subtree.
+  /// not per tuple. Off by default; the counters themselves are always
+  /// maintained. Virtual so the exchange can forward into its worker
+  /// pipelines.
   virtual void EnableTiming(bool on = true) {
     timing_ = on;
     for (BatchIterator* child : children()) child->EnableTiming(on);
@@ -137,17 +205,20 @@ class BatchIterator {
 using BatchIteratorPtr = std::unique_ptr<BatchIterator>;
 
 /// Runs a batch iterator to exhaustion and materializes the result.
-/// Like the tuple-engine Drain, this is blind to interruption; prefer
-/// DrainChecked when an ExecControl is attached.
+/// Blind to interruption — a cancel or deadline looks like ordinary
+/// exhaustion — so prefer DrainChecked when an ExecControl is attached.
 Relation DrainBatches(BatchIterator* iterator);
 
 /// Status-carrying drain: like DrainBatches, but when `control` (may be
 /// null) stopped the pipeline, returns its Cancelled/DeadlineExceeded
-/// status instead of a silently truncated relation.
+/// status instead of a silently truncated relation. This is the single
+/// execution surface lang::RunQuery and the server sessions drain
+/// through.
 Result<Relation> DrainChecked(BatchIterator* iterator, ExecControl* control);
 
-/// Sums the counters of every operator in the tree except scans — the
-/// same accounting as the tuple-engine overload.
+/// Sums the counters of every operator in the tree except scans, whose
+/// emissions are already charged to their consumers as reads — the same
+/// accounting the materializing evaluator uses for a whole expression.
 ExecStats CollectPipelineStats(BatchIterator* root);
 
 }  // namespace fro

@@ -1,15 +1,21 @@
-// Batch-native physical operators, mirroring exec/operators.h operator
-// for operator: scan, filter (in-place selection narrowing), project,
-// union-with-padding, block nested-loop and hash join-likes in all four
-// modes (inner, left outer, anti, semi), blocking sort-merge join-likes,
-// and the blocking generalized outerjoin. Plus the two adapters that
-// bridge the engines so operators can migrate incrementally.
+// Batch-native physical operators: scan, filter (in-place selection
+// narrowing), project, union-with-padding, block nested-loop and hash
+// join-likes, and the blocking generalized outerjoin.
+//
+// Join-like operators come in four modes sharing one matching core:
+// inner join, left outer join, antijoin (emit left tuples with no match),
+// and semijoin (emit left tuples with a match, once). Two physical
+// strategies exist: block nested loop (right input materialized at Open)
+// and hash (build on one input, probe from the other). The generalized
+// outerjoin is inherently blocking (it needs the full set of matched
+// S-projections) and runs the relational/ops.h kernel.
 //
 // Counter parity: every operator maintains ExecStats with exactly the
-// tuple engine's accounting — reads per candidate tuple fetched, one
-// probe per probe-side row, one predicate evaluation per candidate pair,
-// anti/semi short-circuiting at the first match. The equivalence suite
-// (tests/batch_exec_test.cc) asserts this per operator.
+// kernel accounting of relational/ops.h — reads per candidate tuple
+// fetched, one probe per probe-side row, one predicate evaluation per
+// candidate pair, anti/semi short-circuiting at the first match. The
+// equivalence suite (tests/batch_exec_test.cc) asserts this against the
+// materializing evaluator per operator.
 //
 // Join emission uses TupleBatch's peek-slot protocol: the candidate
 // joined tuple is built directly in the output batch's next slot, the
@@ -19,18 +25,25 @@
 #ifndef FRO_EXEC_BATCH_OPERATORS_H_
 #define FRO_EXEC_BATCH_OPERATORS_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "exec/batch_iterator.h"
-#include "exec/operators.h"
 #include "relational/index.h"
 #include "relational/ops.h"
 #include "relational/predicate.h"
 
 namespace fro {
+
+enum class JoinMode : uint8_t {
+  kInner,
+  kLeftOuter,
+  kAnti,
+  kSemi,
+};
 
 /// The conjuncts of `pred` an equi-key index probe on (left_keys[i],
 /// right_keys[i]) does NOT discharge. A conjunct `l = r` whose column
@@ -276,7 +289,11 @@ class BatchHashJoinIterator : public BatchIterator {
   /// backs columnar emission directly.
   const Relation* build_rel_ = nullptr;
   const RelationColumns* shared_build_cols_ = nullptr;
-  /// Key-normalized copy the index hashes over (see HashJoinIterator).
+  /// Key-normalized copy of build_side_ the index hashes over; kept as a
+  /// member because HashIndex requires its relation to outlive it. Probe
+  /// results are row indices valid for build_side_ too (same row order),
+  /// and output rows come from build_side_ so key values keep their
+  /// original representation.
   Relation normalized_build_;
   std::unique_ptr<HashIndex> index_;
   /// Specialized probe table, engaged when the key is one column and
@@ -380,34 +397,6 @@ class BatchHashJoinIterator : public BatchIterator {
   std::vector<uint32_t> stream_cand_;
 };
 
-/// Sort-merge join-like operator (all four modes): blocking — both
-/// inputs materialized at Open(), merged by the sort-merge kernels, and
-/// the result streamed out in batches.
-class BatchSortMergeJoinIterator : public BatchIterator {
- public:
-  BatchSortMergeJoinIterator(BatchIteratorPtr left, BatchIteratorPtr right,
-                             PredicatePtr pred, JoinMode mode);
-  const Scheme& scheme() const override;
-  const char* physical_name() const override { return "SortMergeJoin"; }
-  std::vector<BatchIterator*> children() const override {
-    return {left_.get(), right_.get()};
-  }
-
- protected:
-  void OpenImpl() override;
-  bool NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override;
-
- private:
-  BatchIteratorPtr left_;
-  BatchIteratorPtr right_;
-  PredicatePtr pred_;
-  JoinMode mode_;
-  Scheme out_scheme_;
-  Relation result_;
-  size_t pos_ = 0;
-};
-
 /// GOJ[subset, pred](left, right): blocking; materializes both inputs at
 /// Open() and streams the kernel's result in batches.
 class BatchGojIterator : public BatchIterator {
@@ -434,55 +423,6 @@ class BatchGojIterator : public BatchIterator {
   JoinAlgo algo_;
   Scheme out_scheme_;
   Relation result_;
-  size_t pos_ = 0;
-};
-
-/// Migration bridge: presents a tuple-at-a-time subtree as a
-/// BatchIterator by pulling Next() into batch slots. Stats-transparent:
-/// it adds no reads of its own, and rollups treat it as a leaf (the
-/// wrapped subtree keeps its own per-operator counters, reachable via
-/// tuple_child()).
-class TupleBatchAdapter : public BatchIterator {
- public:
-  explicit TupleBatchAdapter(IteratorPtr child);
-  const Scheme& scheme() const override;
-  const char* physical_name() const override { return "TupleBatchAdapter"; }
-  void EnableTiming(bool on = true) override;
-  void SetControl(ExecControl* control) override;
-
-  TupleIterator* tuple_child() const { return child_.get(); }
-
- protected:
-  void OpenImpl() override;
-  bool NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override;
-
- private:
-  IteratorPtr child_;
-};
-
-/// Migration bridge in the other direction: presents a batch subtree as
-/// a TupleIterator by buffering one batch and replaying it tuple by
-/// tuple. Stats-transparent like TupleBatchAdapter.
-class BatchTupleAdapter : public TupleIterator {
- public:
-  BatchTupleAdapter(BatchIteratorPtr child,
-                    size_t batch_capacity = TupleBatch::kDefaultCapacity);
-  const Scheme& scheme() const override;
-  const char* physical_name() const override { return "BatchTupleAdapter"; }
-  void EnableTiming(bool on = true) override;
-  void SetControl(ExecControl* control) override;
-
-  BatchIterator* batch_child() const { return child_.get(); }
-
- protected:
-  void OpenImpl() override;
-  bool NextImpl(Tuple* out) override;
-  void CloseImpl() override;
-
- private:
-  BatchIteratorPtr child_;
-  TupleBatch buffer_;
   size_t pos_ = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "exec/batch_operators.h"
-#include "exec/operators.h"
 #include "wcoj/leapfrog.h"
 
 namespace fro {
@@ -25,71 +24,6 @@ JoinMode ModeOf(OpKind kind) {
   return JoinMode::kInner;
 }
 
-IteratorPtr Build(const ExprPtr& expr, const Database& db, JoinAlgo algo) {
-  IteratorPtr it;
-  switch (expr->kind()) {
-    case OpKind::kLeaf:
-      it = std::make_unique<ScanIterator>(&db.relation(expr->rel()));
-      break;
-    case OpKind::kRestrict:
-      it = std::make_unique<FilterIterator>(Build(expr->left(), db, algo),
-                                            expr->pred());
-      break;
-    case OpKind::kProject:
-      it = std::make_unique<ProjectIterator>(Build(expr->left(), db, algo),
-                                             expr->project_cols(),
-                                             expr->project_dedup());
-      break;
-    case OpKind::kUnion:
-      it = std::make_unique<UnionIterator>(Build(expr->left(), db, algo),
-                                           Build(expr->right(), db, algo));
-      break;
-    case OpKind::kGoj:
-      it = std::make_unique<GojIterator>(Build(expr->left(), db, algo),
-                                         Build(expr->right(), db, algo),
-                                         expr->pred(), expr->goj_subset(),
-                                         algo);
-      break;
-    case OpKind::kMultiwayJoin: {
-      std::vector<IteratorPtr> inputs;
-      inputs.reserve(expr->mj_children().size());
-      for (const ExprPtr& child : expr->mj_children()) {
-        inputs.push_back(Build(child, db, algo));
-      }
-      return MakeLeapfrogIterator(expr, std::move(inputs));
-    }
-    default: {
-      // Join-like: anchor the preserved/kept operand on the left.
-      ExprPtr anchor = expr->left();
-      ExprPtr other = expr->right();
-      if (!expr->preserves_left() && expr->kind() != OpKind::kJoin) {
-        std::swap(anchor, other);
-      }
-      IteratorPtr left = Build(anchor, db, algo);
-      IteratorPtr right = Build(other, db, algo);
-      JoinMode mode = ModeOf(expr->kind());
-      EquiKeys keys =
-          ExtractEquiKeys(expr->pred(), left->scheme(), right->scheme());
-      const bool use_hash =
-          keys.Usable() &&
-          (algo == JoinAlgo::kHash || algo == JoinAlgo::kAuto);
-      if (use_hash) {
-        it = std::make_unique<HashJoinIterator>(
-            std::move(left), std::move(right), expr->pred(), mode,
-            std::move(keys.left), std::move(keys.right));
-      } else {
-        it = std::make_unique<NestedLoopJoinIterator>(
-            std::move(left), std::move(right), expr->pred(), mode);
-      }
-      break;
-    }
-  }
-  it->set_source_expr(expr);
-  return it;
-}
-
-// Mirror of Build() for the batch engine: the same physical decisions
-// (operand anchoring, hash vs. nested loop) compiled to batch operators.
 BatchIteratorPtr BuildBatch(const ExprPtr& expr, const Database& db,
                             JoinAlgo algo, size_t batch_capacity) {
   BatchIteratorPtr it;
@@ -161,22 +95,10 @@ BatchIteratorPtr BuildBatch(const ExprPtr& expr, const Database& db,
 
 }  // namespace
 
-IteratorPtr BuildIterator(const ExprPtr& expr, const Database& db,
-                          JoinAlgo algo) {
-  FRO_CHECK(expr != nullptr);
-  return Build(expr, db, algo);
-}
-
 BatchIteratorPtr BuildBatchIterator(const ExprPtr& expr, const Database& db,
                                     JoinAlgo algo, size_t batch_capacity) {
   FRO_CHECK(expr != nullptr);
   return BuildBatch(expr, db, algo, batch_capacity);
-}
-
-Relation ExecutePipelined(const ExprPtr& expr, const Database& db,
-                          JoinAlgo algo) {
-  IteratorPtr root = BuildIterator(expr, db, algo);
-  return Drain(root.get());
 }
 
 Relation ExecuteBatched(const ExprPtr& expr, const Database& db,

@@ -1,40 +1,30 @@
-// Compiling expression trees into physical pipelines, for either
-// execution engine: tuple-at-a-time Volcano iterators or batch-at-a-time
-// vectorized iterators. The two compilations make identical physical
-// choices (hash vs. nested loop, operand anchoring), so plans differ only
-// in granularity.
+// Compiling expression trees into batch-at-a-time physical pipelines.
+// The physical choices (hash vs. nested loop, operand anchoring) mirror
+// the materializing evaluator's kernels, so the two agree on results and
+// counters.
 
 #ifndef FRO_EXEC_BUILD_H_
 #define FRO_EXEC_BUILD_H_
 
 #include "algebra/expr.h"
 #include "exec/batch_iterator.h"
-#include "exec/iterator.h"
 #include "relational/database.h"
 #include "relational/ops.h"
 
 namespace fro {
 
-/// Builds a pipelined physical plan for `expr`. Join-like operators use
-/// the hash strategy when the predicate has equi-key conjuncts and `algo`
+/// Builds a pipelined physical plan for `expr` whose operators exchange
+/// TupleBatches of `batch_capacity` tuples. Join-like operators use the
+/// hash strategy when the predicate has equi-key conjuncts and `algo`
 /// permits, block nested loop otherwise. Symmetric forms (`<-`, `<|`,
 /// `-<`) are realized by swapping the operands. The database must outlive
 /// the returned iterator.
-IteratorPtr BuildIterator(const ExprPtr& expr, const Database& db,
-                          JoinAlgo algo = JoinAlgo::kAuto);
-
-/// Batch-engine counterpart of BuildIterator: the same plan shape,
-/// compiled to batch-native operators exchanging TupleBatches of
-/// `batch_capacity` tuples.
 BatchIteratorPtr BuildBatchIterator(
     const ExprPtr& expr, const Database& db, JoinAlgo algo = JoinAlgo::kAuto,
     size_t batch_capacity = TupleBatch::kDefaultCapacity);
 
-/// Convenience: build, drain, and return the materialized result.
-Relation ExecutePipelined(const ExprPtr& expr, const Database& db,
-                          JoinAlgo algo = JoinAlgo::kAuto);
-
-/// Convenience: build a batch plan, drain it, return the result.
+/// Convenience: build a plan, drain it, and return the materialized
+/// result.
 Relation ExecuteBatched(const ExprPtr& expr, const Database& db,
                         JoinAlgo algo = JoinAlgo::kAuto,
                         size_t batch_capacity = TupleBatch::kDefaultCapacity);

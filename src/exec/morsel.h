@@ -131,7 +131,7 @@ struct ExchangeState;  // morsel.cc: spine steps, shared join inputs, workers
 /// stats rollups instead splice in SnapshotMerged(), a node-wise
 /// cross-worker merge of the spine with each build subtree's snapshot
 /// attached as its join's second child. The exchange node itself is
-/// stats-passthrough, like the engine-bridging adapters.
+/// stats-passthrough (PlanOpStats::passthrough).
 class BatchExchangeIterator : public BatchIterator {
  public:
   BatchExchangeIterator(std::unique_ptr<ExchangeState> state,

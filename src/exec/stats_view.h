@@ -1,9 +1,9 @@
-// Engine-agnostic plan statistics: a snapshot of an executed operator
-// tree (names, source expressions, counters) detached from the iterators
-// that produced it. EXPLAIN ANALYZE rendering and the server's metrics
-// rollup consume this view, so they work unchanged over the tuple and the
-// batch engine — and over mixed trees bridged by adapters, whose wrapped
-// subtrees are spliced in as ordinary children.
+// Plan statistics: a snapshot of an executed operator tree (names,
+// source expressions, counters) detached from the iterators that
+// produced it. EXPLAIN ANALYZE rendering, the feedback loop and the
+// server's metrics rollup consume this view. A morsel-parallel exchange
+// contributes the node-wise merge of its worker pipelines, spliced in
+// beneath it as ordinary children.
 
 #ifndef FRO_EXEC_STATS_VIEW_H_
 #define FRO_EXEC_STATS_VIEW_H_
@@ -13,7 +13,6 @@
 
 #include "algebra/expr.h"
 #include "exec/batch_iterator.h"
-#include "exec/iterator.h"
 #include "relational/exec_stats.h"
 
 namespace fro {
@@ -22,12 +21,12 @@ namespace fro {
 struct PlanOpStats {
   std::string physical_name;
   /// The expression node the operator implements; null for hand-assembled
-  /// pipelines and for engine-bridging adapters.
+  /// pipelines.
   ExprPtr source_expr;
   ExecStats stats;
-  /// True for engine-bridging adapters: they forward rows without doing
-  /// relational work, so pipeline totals skip them (their wrapped subtree
-  /// appears as their only child and is accounted normally).
+  /// True for an exchange: it forwards rows without doing relational
+  /// work, so pipeline totals skip it (its merged worker spine appears as
+  /// its only child and is accounted normally).
   bool passthrough = false;
   /// True when a hash join hashed its left (anchor) input instead of its
   /// right one — the batch hash join's build-side flip. EXPLAIN ANALYZE
@@ -38,18 +37,14 @@ struct PlanOpStats {
   bool is_source() const { return children.empty(); }
 };
 
-/// Snapshots an executed tuple pipeline. A BatchTupleAdapter contributes
-/// a passthrough node whose child is the wrapped batch subtree.
-PlanOpStats SnapshotPlanStats(TupleIterator* root);
-
-/// Snapshots an executed batch pipeline. A TupleBatchAdapter contributes
-/// a passthrough node whose child is the wrapped tuple subtree.
+/// Snapshots an executed pipeline. An exchange contributes a passthrough
+/// node whose child is its workers' merged spine.
 PlanOpStats SnapshotPlanStats(BatchIterator* root);
 
 /// Sums the counters of every operator except sources (scans, whose
 /// emissions are charged to their consumers as reads) and passthrough
-/// adapters — the same accounting as CollectPipelineStats, but engine-
-/// agnostic.
+/// exchanges — the same accounting as CollectPipelineStats, over a
+/// snapshot.
 ExecStats SumPipelineStats(const PlanOpStats& root);
 
 /// Tuples retrieved from ground relations — Example 1's accounting: each

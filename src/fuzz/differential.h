@@ -4,20 +4,23 @@
 //
 // Result checks (bag equality against the oracle):
 //   eval-nl / eval-hash    the materializing evaluator, both kernels
-//   tuple-engine           the Volcano pipeline
-//   batch-engine[-capN]    the vectorized pipeline at several capacities
-//                          (the tiny ones let the hash join's build-side
-//                          flip engage on fuzz-sized relations)
+//   batch-engine[-capN]    the pipelined batch executor at the default
+//                          capacity and at 1, 2 and 3 tuples per batch
+//                          (the tiny ones move batch boundaries inside
+//                          join matches and let the hash join's
+//                          build-side flip engage on fuzz-sized
+//                          relations)
 //   parallel-engine-wN     the morsel-driven parallel pipeline at N
 //                          workers (tiny morsels force real splitting)
 //   wcoj-*                 forced multiway plans (every pure-join region
-//                          collapsed to a leapfrog join) on every
-//                          engine, with counter parity
+//                          collapsed to a leapfrog join) through the
+//                          evaluator, the batch executor at capacities
+//                          1024/1/3 and the parallel pipeline
 //   acyclic-*              forced Yannakakis semijoin programs (every
 //                          acyclic pure-join region fully reduced,
-//                          bottom-up + top-down, no gates) on every
-//                          engine, with counter parity
-//   optimizer[-plan]       the plan Optimize() picks, on both engines
+//                          bottom-up + top-down, no gates), likewise
+//   optimizer[-batch[-cap1]]  the plan Optimize() picks, through the
+//                          evaluator and the batch executor
 //   plan-cache             a second Optimize through an LruPlanCache must
 //                          hit and replay an equal-result plan
 //   feedback-replan        one closed feedback loop (optimizer/feedback.h):
@@ -26,9 +29,9 @@
 //                          must claim exactly one re-plan
 //   feedback-replay        and the lookup after that must replay the
 //                          re-planned entry from cache (no thrash)
-//   feedback-tuple/batch   the feedback-corrected re-plan ≡ oracle on
-//                          both engines (feedback steers plan choice
-//                          only, never results)
+//   feedback-batch[-cap1]  the feedback-corrected re-plan ≡ oracle
+//                          (feedback steers plan choice only, never
+//                          results)
 //   feedback-parallel-wN   ... and on the parallel pipeline at N workers,
 //                          with serial-batch counter parity
 //                          (feedback-parallel-stats-parity-wN)
@@ -37,10 +40,16 @@
 //   it-enum                on freely-reorderable graphs, every
 //                          implementing tree (count-capped) — Theorem 1
 //
-// Counter parity:
-//   stats-parity           tuple and batch pipelines must report
-//                          identical ExecStats totals (reads, emitted,
-//                          probes, predicate evaluations)
+// Counter parity (ExecStats totals: reads, emitted, probes, predicate
+// evaluations), each with a `-results` companion comparing the two runs'
+// results:
+//   stats-parity           the batch pipeline must report exactly the
+//                          materializing evaluator's kernel totals
+//   acyclic-stats-parity   likewise for the forced semijoin program
+//   wcoj-stats-parity      the forced multiway plan at capacity 1 must
+//                          report the default capacity's totals (the
+//                          evaluator prices a multiway node as a cross
+//                          product, so it is no reference there)
 //   parallel-stats-parity-wN  the N-worker parallel pipeline must report
 //                          exactly the serial batch engine's totals
 //
@@ -93,7 +102,7 @@ struct Divergence {
 struct DiffReport {
   std::vector<Divergence> divergences;
   uint64_t checks_run = 0;
-  /// Hash joins in the batch-engine-cap1/cap3 runs that hashed their
+  /// Hash joins in the batch-engine-cap1/2/3 runs that hashed their
   /// left input (the build-side flip) — how often the oracle covered it.
   uint64_t hash_left_builds = 0;
 

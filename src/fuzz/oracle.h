@@ -1,7 +1,7 @@
 // The fuzzing harness's reference oracle: a brute-force evaluator built
 // directly from the paper's definitions, sharing no code with the
 // kernels (relational/ops.h), the materializing evaluator
-// (algebra/eval.h), or either pipelined engine.
+// (algebra/eval.h), or the pipelined executor.
 //
 // Every operator is computed the way Section 1.2 / 2.1 defines it:
 //

@@ -1,10 +1,10 @@
 // One-call facade for the Section 5 language: parse, translate, verify
 // free reorderability, optimize, execute.
 //
-// Execution goes through the pipelined executor (batch engine by
-// default) and drains through the Status-carrying DrainChecked surface,
-// so a cancelled or deadline-exceeded run comes back as an error Status
-// instead of a silently truncated relation.
+// Execution goes through the pipelined batch executor and drains through
+// the Status-carrying DrainChecked surface, so a cancelled or
+// deadline-exceeded run comes back as an error Status instead of a
+// silently truncated relation.
 
 #ifndef FRO_LANG_LANG_H_
 #define FRO_LANG_LANG_H_
@@ -13,8 +13,7 @@
 #include <optional>
 #include <string>
 
-#include "exec/batch.h"
-#include "exec/iterator.h"
+#include "exec/batch_iterator.h"
 #include "exec/stats_view.h"
 #include "lang/ast.h"
 #include "lang/model.h"
@@ -35,11 +34,8 @@ struct QueryRunResult {
   /// The optimizer's outcome (plan actually executed).
   OptimizeOutcome optimize;
   /// Per-operator execution counters of the pipeline that produced
-  /// `relation`, engine-agnostic (see exec/stats_view.h). Consumers sum
-  /// or roll these up without caring which engine ran.
+  /// `relation` (see exec/stats_view.h).
   PlanOpStats plan_stats;
-  /// The engine that executed the plan.
-  ExecEngine engine = ExecEngine::kBatch;
   /// Worst per-operator Q-error of this execution against the estimates
   /// the plan was chosen with; 1.0 when no feedback store was attached
   /// (nothing measured).
@@ -48,8 +44,8 @@ struct QueryRunResult {
 
 /// Execution options shared by every run surface: lang::RunQuery,
 /// prepared-AST replay (RunParsedQuery), and the server's per-request
-/// path all consume this one struct, so deadline, cache, and engine
-/// choice are set in exactly one place. Builder-style: construct, then
+/// path all consume this one struct, so deadline, cache, and thread
+/// count are set in exactly one place. Builder-style: construct, then
 /// chain WithX() setters —
 ///
 ///   RunQuery(db, text, RunOptions()
@@ -64,15 +60,11 @@ struct RunOptions {
   /// translated query's structural hash; see optimizer/plan_cache.h).
   /// Not owned. With caching, OptimizeOutcome::cache_hit reports reuse.
   PlanCacheInterface* plan_cache = nullptr;
-  /// Which executor runs the plan. The engines agree on results and
-  /// counters; batch is faster and the default.
-  ExecEngine engine = ExecEngine::kBatch;
   /// Physical join strategy constraint passed to the plan builder.
   JoinAlgo join_algo = JoinAlgo::kAuto;
-  /// Batch-engine worker threads for morsel-driven intra-query
-  /// parallelism (exec/morsel.h); <= 1 executes the ordinary serial
-  /// plan, bit-identical to the single-threaded engine. Ignored by the
-  /// tuple engine.
+  /// Worker threads for morsel-driven intra-query parallelism
+  /// (exec/morsel.h); <= 1 executes the ordinary serial plan,
+  /// bit-identical to the single-threaded engine.
   int threads = 1;
   /// Optional cooperative interrupt, e.g. the server's per-request cancel
   /// handle. Not owned; must outlive the run. When null and a deadline is
@@ -100,10 +92,6 @@ struct RunOptions {
   }
   RunOptions& WithPlanCache(PlanCacheInterface* cache) {
     plan_cache = cache;
-    return *this;
-  }
-  RunOptions& WithEngine(ExecEngine e) {
-    engine = e;
     return *this;
   }
   RunOptions& WithJoinAlgo(JoinAlgo algo) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/str_util.h"
-#include "exec/build.h"
 #include "exec/morsel.h"
 #include "exec/stats_view.h"
 
@@ -151,27 +150,18 @@ void RenderAnalyzeNode(const PlanOpStats& node, const Database& db,
 }  // namespace
 
 ExplainAnalyzeResult ExplainAnalyze(const ExprPtr& expr, const Database& db,
-                                    JoinAlgo algo, ExecEngine engine,
-                                    int threads,
+                                    JoinAlgo algo, int threads,
                                     const CardinalityFeedback* feedback) {
   CardinalityEstimator estimator(db);
   estimator.set_feedback(feedback);
   ExplainAnalyzeResult result;
-  PlanOpStats snapshot;
-  if (engine == ExecEngine::kTuple) {
-    IteratorPtr root = BuildIterator(expr, db, algo);
-    root->EnableTiming();
-    result.result = Drain(root.get());
-    snapshot = SnapshotPlanStats(root.get());
-  } else {
-    ParallelOptions par;
-    par.threads = threads;
-    par.algo = algo;
-    BatchIteratorPtr root = BuildParallelBatchIterator(expr, db, par);
-    root->EnableTiming();
-    result.result = DrainBatches(root.get());
-    snapshot = SnapshotPlanStats(root.get());
-  }
+  ParallelOptions par;
+  par.threads = threads;
+  par.algo = algo;
+  BatchIteratorPtr root = BuildParallelBatchIterator(expr, db, par);
+  root->EnableTiming();
+  result.result = DrainBatches(root.get());
+  const PlanOpStats snapshot = SnapshotPlanStats(root.get());
   result.totals = SumPipelineStats(snapshot);
   result.base_tuples_read = BaseTuplesRead(snapshot);
   RenderAnalyzeNode(snapshot, db, estimator, 0, &result);

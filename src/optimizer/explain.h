@@ -9,7 +9,6 @@
 #include <string>
 
 #include "algebra/expr.h"
-#include "exec/batch.h"
 #include "graph/query_graph.h"
 #include "optimizer/cardinality.h"
 #include "relational/exec_stats.h"
@@ -54,21 +53,17 @@ struct ExplainAnalyzeResult {
   double max_q_error = 1.0;
 };
 
-/// Executes `expr` through the chosen execution engine (batch by
-/// default) with per-operator instrumentation (including wall-clock
-/// timing) and renders estimated-versus-actual rows for every plan node.
-/// The engines agree on results and counters, so the choice only affects
-/// the timing figures. With the batch engine and `threads > 1`,
-/// parallelizable regions execute as morsel-driven exchanges
-/// (exec/morsel.h): the rendering shows the Exchange node with the
-/// node-wise cross-worker merge of its spine beneath it, and every
-/// counter still sums to the serial totals. With `feedback`
-/// (optimizer/feedback.h), estimates served from runtime corrections are
-/// rendered with a `[feedback-corrected]` marker.
+/// Executes `expr` with per-operator instrumentation (including
+/// wall-clock timing) and renders estimated-versus-actual rows for every
+/// plan node. With `threads > 1`, parallelizable regions execute as
+/// morsel-driven exchanges (exec/morsel.h): the rendering shows the
+/// Exchange node with the node-wise cross-worker merge of its spine
+/// beneath it, and every counter still sums to the serial totals. With
+/// `feedback` (optimizer/feedback.h), estimates served from runtime
+/// corrections are rendered with a `[feedback-corrected]` marker.
 ExplainAnalyzeResult ExplainAnalyze(
     const ExprPtr& expr, const Database& db, JoinAlgo algo = JoinAlgo::kAuto,
-    ExecEngine engine = ExecEngine::kBatch, int threads = 1,
-    const CardinalityFeedback* feedback = nullptr);
+    int threads = 1, const CardinalityFeedback* feedback = nullptr);
 
 /// Graphviz DOT for an expression tree.
 std::string ExprToDot(const ExprPtr& expr, const Database& db);

@@ -13,9 +13,8 @@
 // deadlines and CANCEL stop it mid-drain and surface as kCancelled /
 // kDeadlineExceeded statuses; results render as the canonical table
 // (sorted rows and columns), which is what makes "byte-identical to
-// serial execution" a testable claim. The executor engine (batch by
-// default) is a per-session option; per-operator metrics roll up from
-// the engine-agnostic PlanOpStats snapshot either engine produces.
+// serial execution" a testable claim. Per-operator metrics roll up from
+// the executed pipeline's PlanOpStats snapshot.
 
 #ifndef FRO_SERVER_SESSION_H_
 #define FRO_SERVER_SESSION_H_
@@ -27,8 +26,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "exec/batch.h"
-#include "exec/iterator.h"
+#include "exec/batch_iterator.h"
 #include "lang/ast.h"
 #include "lang/model.h"
 #include "server/metrics.h"
@@ -65,9 +63,6 @@ class ThreadBudget {
 struct SessionOptions {
   /// Parsed-AST memo entries kept (LRU); 0 disables the memo.
   size_t ast_cache_capacity = 256;
-  /// Which execution engine serves QUERY / ANALYZE (results and counters
-  /// are engine-independent).
-  ExecEngine engine = ExecEngine::kBatch;
   /// Per-query execution deadline armed through RunOptions; <= 0
   /// disables deadlines.
   int default_deadline_ms = 0;

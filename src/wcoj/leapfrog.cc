@@ -273,60 +273,6 @@ void LeapfrogCore::AdvanceOdometer() {
   odo_overflow_ = true;
 }
 
-LeapfrogTriejoinIterator::LeapfrogTriejoinIterator(
-    MultiwaySpec spec, std::vector<IteratorPtr> children)
-    : spec_(std::move(spec)), children_(std::move(children)) {
-  FRO_CHECK_GE(children_.size(), 2u);
-  FRO_CHECK_EQ(children_.size(), spec_.child_levels.size());
-  out_scheme_ = children_[0]->scheme();
-  for (size_t c = 1; c < children_.size(); ++c) {
-    out_scheme_ = out_scheme_.Concat(children_[c]->scheme());
-  }
-}
-
-std::vector<TupleIterator*> LeapfrogTriejoinIterator::children() const {
-  std::vector<TupleIterator*> out;
-  out.reserve(children_.size());
-  for (const IteratorPtr& child : children_) out.push_back(child.get());
-  return out;
-}
-
-void LeapfrogTriejoinIterator::OpenImpl() {
-  build_reads_ = 0;
-  tries_.clear();
-  std::vector<const TrieIndex*> raw;
-  raw.reserve(children_.size());
-  Tuple scratch;
-  for (size_t c = 0; c < children_.size(); ++c) {
-    TupleIterator* child = children_[c].get();
-    child->Open();
-    Relation materialized(child->scheme());
-    while (child->Next(&scratch)) materialized.AddRow(scratch);
-    child->Close();
-    build_reads_ += materialized.NumRows();
-    tries_.push_back(
-        std::make_unique<TrieIndex>(materialized, spec_.child_levels[c]));
-    raw.push_back(tries_.back().get());
-  }
-  core_.Start(spec_, std::move(raw), out_scheme_);
-  SyncStats();
-}
-
-bool LeapfrogTriejoinIterator::NextImpl(Tuple* out) {
-  const bool produced = core_.Next(out);
-  SyncStats();
-  return produced;
-}
-
-void LeapfrogTriejoinIterator::CloseImpl() {}
-
-void LeapfrogTriejoinIterator::SyncStats() {
-  ExecStats& stats = mutable_stats();
-  stats.left_reads = build_reads_;
-  stats.probes = core_.probes();
-  stats.predicate_evals = core_.residual_evals();
-}
-
 BatchLeapfrogTriejoinIterator::BatchLeapfrogTriejoinIterator(
     MultiwaySpec spec, std::vector<BatchIteratorPtr> children,
     size_t batch_capacity)
@@ -390,14 +336,6 @@ void BatchLeapfrogTriejoinIterator::SyncStats() {
   stats.left_reads = build_reads_;
   stats.probes = core_.probes();
   stats.predicate_evals = core_.residual_evals();
-}
-
-IteratorPtr MakeLeapfrogIterator(const ExprPtr& expr,
-                                 std::vector<IteratorPtr> children) {
-  auto iterator = std::make_unique<LeapfrogTriejoinIterator>(
-      AnalyzeMultiwayJoin(expr), std::move(children));
-  iterator->set_source_expr(expr);
-  return iterator;
 }
 
 BatchIteratorPtr MakeBatchLeapfrogIterator(

@@ -15,9 +15,9 @@
 // compare normalized keys, so the residual restores exact 3VL SQL
 // semantics and covers non-equality conjuncts.
 //
-// Both engines (tuple and batch) drive the same LeapfrogCore, so their
-// results and counters agree tuple for tuple. Counter mapping: `probes`
-// counts every cursor binary search (leapfrog seeks and steps alike),
+// The batch operator drives LeapfrogCore, which emits one tuple at a
+// time into the output batch's slots. Counter mapping: `probes` counts
+// every cursor binary search (leapfrog seeks and steps alike),
 // `predicate_evals` the residual evaluations, `left_reads` the rows
 // drained from the operands while building tries.
 
@@ -30,7 +30,6 @@
 
 #include "algebra/expr.h"
 #include "exec/batch_iterator.h"
-#include "exec/iterator.h"
 #include "relational/predicate.h"
 #include "wcoj/trie_index.h"
 
@@ -63,11 +62,11 @@ struct MultiwaySpec {
 /// residual, which is always the full predicate.
 MultiwaySpec AnalyzeMultiwayJoin(const ExprPtr& expr);
 
-/// The engine-agnostic leapfrog search. Start() binds it to a set of
-/// tries (one per operand, level orders matching the spec); Next()
-/// produces emitted tuples one at a time — original values, operand
-/// scheme order — exactly the bag the reference evaluator's filtered
-/// cross product yields.
+/// The leapfrog search. Start() binds it to a set of tries (one per
+/// operand, level orders matching the spec); Next() produces emitted
+/// tuples one at a time — original values, operand scheme order —
+/// exactly the bag the reference evaluator's filtered cross product
+/// yields.
 class LeapfrogCore {
  public:
   /// `tries[c]` must have level order spec.child_levels[c]. Binds the
@@ -114,37 +113,10 @@ class LeapfrogCore {
   uint64_t evals_ = 0;
 };
 
-/// Tuple-engine leapfrog triejoin. Open() drains every child pipeline
-/// into a materialized relation, builds one trie per operand, and runs
-/// the core; the children may be arbitrary subplans (scans, filters,
-/// even outerjoin shells under the fuzzer's forced-multiway mode).
-class LeapfrogTriejoinIterator : public TupleIterator {
- public:
-  LeapfrogTriejoinIterator(MultiwaySpec spec,
-                           std::vector<IteratorPtr> children);
-
-  const Scheme& scheme() const override { return out_scheme_; }
-  const char* physical_name() const override { return "LeapfrogTriejoin"; }
-  std::vector<TupleIterator*> children() const override;
-
- protected:
-  void OpenImpl() override;
-  bool NextImpl(Tuple* out) override;
-  void CloseImpl() override;
-
- private:
-  void SyncStats();
-
-  MultiwaySpec spec_;
-  std::vector<IteratorPtr> children_;
-  Scheme out_scheme_;
-  std::vector<std::unique_ptr<TrieIndex>> tries_;
-  LeapfrogCore core_;
-  uint64_t build_reads_ = 0;
-};
-
-/// Batch-engine twin; drives the same core, so results and counters
-/// match the tuple engine exactly.
+/// Leapfrog triejoin operator. Open() drains every child pipeline into
+/// a materialized relation, builds one trie per operand, and runs the
+/// core; the children may be arbitrary subplans (scans, filters, even
+/// outerjoin shells under the fuzzer's forced-multiway mode).
 class BatchLeapfrogTriejoinIterator : public BatchIterator {
  public:
   BatchLeapfrogTriejoinIterator(MultiwaySpec spec,
@@ -172,12 +144,8 @@ class BatchLeapfrogTriejoinIterator : public BatchIterator {
   uint64_t build_reads_ = 0;
 };
 
-/// Builds the tuple-engine operator for a kMultiwayJoin node whose
-/// child subplans have already been built (in mj_children() order).
-IteratorPtr MakeLeapfrogIterator(const ExprPtr& expr,
-                                 std::vector<IteratorPtr> children);
-
-/// Batch-engine counterpart.
+/// Builds the operator for a kMultiwayJoin node whose child subplans
+/// have already been built (in mj_children() order).
 BatchIteratorPtr MakeBatchLeapfrogIterator(
     const ExprPtr& expr, std::vector<BatchIteratorPtr> children,
     size_t batch_capacity);

@@ -1,7 +1,7 @@
 // The acyclic subsystem: GYO ear reduction (chains, stars, eq-class
 // collapse, cross-join forests, the 64-variable cap), Yannakakis
-// semijoin programs held to the binary plan's bag on both engines with
-// counter parity, safe-subjoin gating through the estimator, the
+// semijoin programs held to the binary plan's bag at several batch
+// capacities with the evaluator's counters, safe-subjoin gating through the estimator, the
 // cost-gated ApplyAcyclic rewrite, and the optimizer pipeline end to
 // end (Section 4 simplification unlocking the fast path).
 
@@ -247,31 +247,32 @@ TEST_F(YannakakisTest, ForcedProgramMatchesBinaryPlanOnBothEngines) {
 
     const Relation want = Eval(binary_, db_);
     EXPECT_TRUE(BagEquals(want, Eval(program.expr, db_)));
-    EXPECT_TRUE(BagEquals(want, ExecutePipelined(program.expr, db_)));
     EXPECT_TRUE(BagEquals(want, ExecuteBatched(program.expr, db_)));
+    EXPECT_TRUE(BagEquals(
+        want, ExecuteBatched(program.expr, db_, JoinAlgo::kAuto, 1)));
   }
 }
 
-TEST_F(YannakakisTest, TupleAndBatchEnginesAgreeOnProgramStats) {
+TEST_F(YannakakisTest, BatchEngineMatchesEvalOnProgramStats) {
   JoinTree tree = GyoReduce(BuildJoinHypergraph(operands_, conjuncts_));
   ASSERT_TRUE(tree.acyclic);
   SemijoinProgram program =
       PlanYannakakis(operands_, conjuncts_, tree, nullptr);
   ASSERT_GE(program.semijoins, 2);
 
-  IteratorPtr tuple_root = BuildIterator(program.expr, db_);
-  Relation tuple_out = Drain(tuple_root.get());
+  EvalStats eval_stats;
+  Relation eval_out = Eval(program.expr, db_, EvalOptions(), &eval_stats);
   BatchIteratorPtr batch_root = BuildBatchIterator(program.expr, db_);
   Relation batch_out = DrainBatches(batch_root.get());
-  EXPECT_TRUE(BagEquals(tuple_out, batch_out));
+  EXPECT_TRUE(BagEquals(eval_out, batch_out));
 
-  const ExecStats t = CollectPipelineStats(tuple_root.get());
+  const ExecStats& e = eval_stats.totals;
   const ExecStats b = CollectPipelineStats(batch_root.get());
-  EXPECT_EQ(t.left_reads, b.left_reads);
-  EXPECT_EQ(t.right_reads, b.right_reads);
-  EXPECT_EQ(t.emitted, b.emitted);
-  EXPECT_EQ(t.probes, b.probes);
-  EXPECT_EQ(t.predicate_evals, b.predicate_evals);
+  EXPECT_EQ(e.left_reads, b.left_reads);
+  EXPECT_EQ(e.right_reads, b.right_reads);
+  EXPECT_EQ(e.emitted, b.emitted);
+  EXPECT_EQ(e.probes, b.probes);
+  EXPECT_EQ(e.predicate_evals, b.predicate_evals);
 }
 
 TEST_F(YannakakisTest, EstimatorGateSkipsReductionsThatKeepEverything) {
@@ -382,9 +383,9 @@ TEST_F(YannakakisTest, StrongRestrictionUnlocksTheFastPathThroughSimplify) {
   EXPECT_TRUE(pass->ran);
   EXPECT_TRUE(BagEquals(Eval(query, db_), Eval(outcome->plan, db_)));
   EXPECT_TRUE(BagEquals(Eval(query, db_),
-                        ExecutePipelined(outcome->plan, db_)));
-  EXPECT_TRUE(BagEquals(Eval(query, db_),
                         ExecuteBatched(outcome->plan, db_)));
+  EXPECT_TRUE(BagEquals(Eval(query, db_), ExecuteBatched(outcome->plan, db_,
+                                                         JoinAlgo::kAuto, 1)));
 }
 
 }  // namespace

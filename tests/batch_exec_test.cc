@@ -1,12 +1,12 @@
-// Batch-engine equivalence suite: the batch executor must be
+// Batch-engine equivalence suite: the pipelined batch executor must be
 // result-transparent — byte-identical results (canonical form) and
-// identical ExecStats counters — against BOTH the tuple-at-a-time
-// executor and the materializing evaluator, operator by operator, on
-// the paper's example databases, null-heavy outerjoin inputs, empty
-// relations, and batch-boundary input sizes (0, 1, capacity,
-// capacity+1). Also covers the engine-bridging adapters, the
-// Status-carrying DrainChecked surface (kCancelled /
-// kDeadlineExceeded), and RunQuery's engine/deadline options.
+// identical ExecStats counters — against the materializing evaluator,
+// operator by operator, at capacities 1, 3 and 1024, on the paper's
+// example databases, null-heavy outerjoin inputs, empty relations, and
+// batch-boundary input sizes (0, 1, capacity, capacity+1). Also covers
+// rescans and early close, the hash join's build-side flip, the
+// Status-carrying DrainChecked surface (kCancelled / kDeadlineExceeded),
+// and RunQuery's deadline and control options.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "enumerate/it_enum.h"
 #include "exec/batch_operators.h"
 #include "exec/build.h"
-#include "exec/operators.h"
 #include "exec/stats_view.h"
 #include "lang/lang.h"
 #include "testing/datagen.h"
@@ -39,9 +38,9 @@ void ExpectCountersEq(const ExecStats& got, const ExecStats& want,
   EXPECT_EQ(got.predicate_evals, want.predicate_evals) << context;
 }
 
-// Runs `expr` through all three engines — evaluator, tuple pipeline,
-// batch pipeline (at `capacity` tuples per batch) — and asserts results
-// byte-identical in canonical form and pipeline counter totals equal.
+// Runs `expr` through the evaluator and the batch pipeline (at
+// `capacity` tuples per batch) and asserts results byte-identical in
+// canonical form and pipeline counter totals equal.
 void ExpectAllEnginesAgree(const ExprPtr& expr, const Database& db,
                            JoinAlgo algo, size_t capacity) {
   const std::string context =
@@ -52,21 +51,12 @@ void ExpectAllEnginesAgree(const ExprPtr& expr, const Database& db,
   EvalStats eval_stats;
   Relation reference = Eval(expr, db, eval_options, &eval_stats);
 
-  IteratorPtr tuple_root = BuildIterator(expr, db, algo);
-  Relation tuple_out = Drain(tuple_root.get());
-
   BatchIteratorPtr batch_root = BuildBatchIterator(expr, db, algo, capacity);
   Relation batch_out = DrainBatches(batch_root.get());
 
-  // Byte-identical: canonical renderings match exactly.
-  EXPECT_EQ(CanonicalString(batch_out), CanonicalString(tuple_out)) << context;
-  EXPECT_TRUE(BagEquals(reference, batch_out)) << context;
-
-  const ExecStats tuple_totals = CollectPipelineStats(tuple_root.get());
-  const ExecStats batch_totals = CollectPipelineStats(batch_root.get());
-  ExpectCountersEq(batch_totals, tuple_totals, context + " [batch vs tuple]");
-  ExpectCountersEq(batch_totals, eval_stats.totals,
-                   context + " [batch vs eval]");
+  EXPECT_EQ(CanonicalString(batch_out), CanonicalString(reference)) << context;
+  ExpectCountersEq(CollectPipelineStats(batch_root.get()), eval_stats.totals,
+                   context);
 }
 
 void ExpectAllEnginesAgreeAllCapacities(const ExprPtr& expr,
@@ -206,6 +196,28 @@ TEST_F(BatchEquivTest, CompositePipelineAgrees) {
   }
 }
 
+// Union padding over partially overlapping schemes: left scheme {a, b},
+// right scheme {b} (shared attribute). The union scheme is {a, b}; right
+// rows are padded with null for `a` and keep their `b` values.
+TEST_F(BatchEquivTest, UnionPadsPartiallyOverlappingSchemes) {
+  ExprPtr expr =
+      Expr::Union(LeafR(), Expr::Project(LeafR(), {b_}, /*dedup=*/false));
+  ExpectAllEnginesAgreeAllCapacities(expr, db_, JoinAlgo::kAuto);
+
+  Relation out = ExecuteBatched(expr, db_);
+  EXPECT_EQ(out.NumRows(), 8u);
+  ASSERT_EQ(out.scheme().size(), 2u);
+  size_t a_pos = static_cast<size_t>(out.scheme().IndexOf(a_));
+  size_t b_pos = static_cast<size_t>(out.scheme().IndexOf(b_));
+  size_t padded = 0;
+  for (size_t i = 0; i < out.NumRows(); ++i) {
+    EXPECT_FALSE(out.row(i).value(b_pos).is_null()) << "row " << i;
+    if (out.row(i).value(a_pos).is_null()) ++padded;
+  }
+  // One original null `a` from R plus four padded right-side rows.
+  EXPECT_EQ(padded, 5u);
+}
+
 // Null join keys on both sides: the SQL three-valued-logic corners that
 // distinguish outerjoin, antijoin, and semijoin.
 TEST(BatchNullKeyTest, NullHeavyOuterAntiSemiAgree) {
@@ -235,6 +247,50 @@ TEST(BatchNullKeyTest, NullHeavyOuterAntiSemiAgree) {
       ExpectAllEnginesAgreeAllCapacities(expr, db, algo);
     }
   }
+  // NULL = anything is unknown: null-key R rows survive the antijoin
+  // ({null, 2, null}; 1 is matched) and never satisfy the semijoin.
+  EXPECT_EQ(ExecuteBatched(exprs[1], db).NumRows(), 3u);
+  EXPECT_EQ(ExecuteBatched(exprs[2], db).NumRows(), 1u);
+}
+
+// HashIndex requires its relation to outlive it: the hash join keeps the
+// key-normalized build side as a member. With keys that actually need
+// normalization (ints probed by doubles; SQL equality makes 1 == 1.0) the
+// table must hash probe keys consistently, and output rows must carry
+// the build side's original values, not the normalized copies.
+TEST(HashIndexLifetimeTest, NormalizedBuildSideSurvivesOpen) {
+  Database db;
+  RelId r = *db.AddRelation("R", {"x"});
+  RelId s = *db.AddRelation("S", {"y"});
+  AttrId x = db.Attr("R", "x");
+  AttrId y = db.Attr("S", "y");
+  db.AddRow(r, {Value::Double(1.0)});
+  db.AddRow(r, {Value::Double(2.5)});
+  db.AddRow(r, {Value::Double(3.0)});
+  db.AddRow(s, {Value::Int(1)});
+  db.AddRow(s, {Value::Int(2)});
+  db.AddRow(s, {Value::Int(3)});
+
+  BatchHashJoinIterator join(
+      std::make_unique<BatchScanIterator>(&db.relation(r)),
+      std::make_unique<BatchScanIterator>(&db.relation(s)), EqCols(x, y),
+      JoinMode::kInner, std::vector<AttrId>{x}, std::vector<AttrId>{y});
+  Relation out = DrainBatches(&join);
+  EXPECT_EQ(out.NumRows(), 2u);  // 1.0 == 1 and 3.0 == 3
+  int y_pos = out.scheme().IndexOf(y);
+  ASSERT_GE(y_pos, 0);
+  for (size_t i = 0; i < out.NumRows(); ++i) {
+    EXPECT_EQ(out.row(i).value(static_cast<size_t>(y_pos)).kind(),
+              Value::Kind::kInt)
+        << "row " << i;
+  }
+
+  // Rescan exercises a second build over the member relation.
+  EXPECT_EQ(CanonicalString(DrainBatches(&join)), CanonicalString(out));
+
+  ExprPtr expr =
+      Expr::Join(Expr::Leaf(r, db), Expr::Leaf(s, db), EqCols(x, y));
+  ExpectAllEnginesAgreeAllCapacities(expr, db, JoinAlgo::kAuto);
 }
 
 // --- Hash join build-side flip ------------------------------------------
@@ -470,7 +526,7 @@ TEST(BatchBoundaryTest, SizesAroundCapacityAgree) {
   }
 }
 
-// The paper's Example 1 and DEPT/EMP databases through both engines.
+// The paper's Example 1 and DEPT/EMP databases, batch engine vs evaluator.
 TEST(BatchExampleDatabasesTest, Example1OrdersAgree) {
   std::unique_ptr<Database> db = MakeExample1Database(100);
   RelId r1 = db->Rel("R1");
@@ -599,179 +655,105 @@ TEST(BatchPropertyTest, RandomQueriesAgreeAcrossEngines) {
   }
 }
 
-// --- Adapters: tuple subtrees under batch pipelines and vice versa ----
-
-TEST_F(BatchEquivTest, TupleBatchAdapterBridgesTupleSubtree) {
-  ExprPtr join = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
-  Relation direct = ExecutePipelined(join, db_);
-
-  // Wrap the whole tuple plan and narrow it with a batch filter on top.
-  PredicatePtr pred = CmpLit(CmpOp::kGe, b_, Value::Int(20));
-  auto wrapped = std::make_unique<TupleBatchAdapter>(
-      BuildIterator(join, db_, JoinAlgo::kAuto));
-  BatchFilterIterator filter(std::move(wrapped), pred);
-
-  Relation out = DrainBatches(&filter);
-  ExprPtr filtered = Expr::Restrict(join, pred);
-  EXPECT_EQ(CanonicalString(out),
-            CanonicalString(ExecutePipelined(filtered, db_)));
-
-  // Stats rollup reaches through the adapter into the tuple subtree:
-  // the wrapped join's reads are visible in the batch-side totals.
-  ExecStats totals = CollectPipelineStats(&filter);
-  EXPECT_GT(totals.left_reads, 0u);
-  EXPECT_GT(totals.probes, 0u);
-
-  // The snapshot marks the adapter node itself as a passthrough, so its
-  // re-emitted rows are not double-counted by SumPipelineStats.
-  PlanOpStats snapshot = SnapshotPlanStats(&filter);
-  ASSERT_EQ(snapshot.children.size(), 1u);
-  EXPECT_TRUE(snapshot.children[0].passthrough);
-  EXPECT_EQ(direct.NumRows(), snapshot.children[0].stats.emitted);
-}
-
-TEST_F(BatchEquivTest, BatchTupleAdapterBridgesBatchSubtree) {
-  ExprPtr join = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
-  Relation direct = ExecutePipelined(join, db_);
-
-  for (size_t capacity : {size_t{1}, size_t{2}, TupleBatch::kDefaultCapacity}) {
-    BatchTupleAdapter adapter(
-        BuildBatchIterator(join, db_, JoinAlgo::kAuto, capacity), capacity);
-    Relation out = Drain(&adapter);
-    EXPECT_EQ(CanonicalString(out), CanonicalString(direct))
+// Pipelines are restartable: draining twice gives the same bag, at
+// every capacity.
+TEST(BatchPropertyTest, PipelinesRescanCleanly) {
+  Rng rng(1802);
+  RandomQueryOptions options;
+  options.num_relations = 4;
+  GeneratedQuery q = GenerateRandomQuery(options, &rng);
+  ExprPtr tree = RandomIt(q.graph, *q.db, &rng);
+  for (size_t capacity : {size_t{1}, size_t{3}, TupleBatch::kDefaultCapacity}) {
+    BatchIteratorPtr root =
+        BuildBatchIterator(tree, *q.db, JoinAlgo::kAuto, capacity);
+    Relation first = DrainBatches(root.get());
+    Relation second = DrainBatches(root.get());
+    EXPECT_EQ(CanonicalString(first), CanonicalString(second))
         << "cap=" << capacity;
-
-    // The adapter is the snapshot root and is marked passthrough; its
-    // child is the wrapped batch join. Passthrough emission is excluded
-    // from the rollup, so totals show the join's output once, not twice.
-    PlanOpStats snapshot = SnapshotPlanStats(&adapter);
-    EXPECT_TRUE(snapshot.passthrough);
-    ASSERT_EQ(snapshot.children.size(), 1u);
-    EXPECT_EQ(snapshot.children[0].stats.emitted, direct.NumRows());
-    EXPECT_EQ(SumPipelineStats(snapshot).emitted, direct.NumRows());
   }
 }
 
-TEST_F(BatchEquivTest, AdapterRoundTripIsIdentity) {
-  ExprPtr expr = Expr::Restrict(LeafR(), CmpLit(CmpOp::kGe, b_, Value::Int(20)));
-  // batch -> tuple -> batch sandwich.
-  auto inner = std::make_unique<BatchTupleAdapter>(
-      BuildBatchIterator(expr, db_, JoinAlgo::kAuto, 2), 2);
-  TupleBatchAdapter sandwich(std::move(inner));
-  EXPECT_EQ(CanonicalString(DrainBatches(&sandwich)),
-            CanonicalString(ExecutePipelined(expr, db_)));
+// Early termination: closing a pipeline mid-stream is safe and a
+// subsequent reopen starts fresh.
+TEST(BatchPropertyTest, EarlyCloseAndReopen) {
+  Rng rng(1803);
+  RandomQueryOptions options;
+  options.num_relations = 4;
+  options.rows.rows_min = 3;
+  GeneratedQuery q = GenerateRandomQuery(options, &rng);
+  ExprPtr tree = RandomIt(q.graph, *q.db, &rng);
+  for (size_t capacity : {size_t{1}, size_t{3}, TupleBatch::kDefaultCapacity}) {
+    BatchIteratorPtr root =
+        BuildBatchIterator(tree, *q.db, JoinAlgo::kAuto, capacity);
+    root->Open();
+    TupleBatch batch(capacity);
+    root->NextBatch(&batch);  // consume at most one batch
+    root->Close();
+    EXPECT_TRUE(BagEquals(DrainBatches(root.get()), Eval(tree, *q.db)))
+        << "cap=" << capacity;
+  }
 }
 
 // --- DrainChecked: the Status-carrying execution surface --------------
 
 TEST_F(BatchEquivTest, DrainCheckedSurfacesCancellation) {
   ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
-  {
-    ExecControl control;
-    control.RequestCancel();
-    IteratorPtr root = BuildIterator(expr, db_, JoinAlgo::kAuto);
-    root->SetControl(&control);
-    Result<Relation> result = DrainChecked(root.get(), &control);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  }
-  {
-    ExecControl control;
-    control.RequestCancel();
-    BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
-    root->SetControl(&control);
-    Result<Relation> result = DrainChecked(root.get(), &control);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  }
-}
-
-TEST_F(BatchEquivTest, DrainCheckedSurfacesDeadline) {
-  ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
-  {
-    ExecControl control;
-    control.set_deadline(std::chrono::steady_clock::now());  // already due
-    IteratorPtr root = BuildIterator(expr, db_, JoinAlgo::kAuto);
-    root->SetControl(&control);
-    Result<Relation> result = DrainChecked(root.get(), &control);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  }
-  {
-    ExecControl control;
-    control.set_deadline(std::chrono::steady_clock::now());
-    BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
-    root->SetControl(&control);
-    Result<Relation> result = DrainChecked(root.get(), &control);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  }
-}
-
-TEST_F(BatchEquivTest, DrainCheckedWithoutControlMatchesDrain) {
-  ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
-  {
-    IteratorPtr root = BuildIterator(expr, db_, JoinAlgo::kAuto);
-    Result<Relation> checked = DrainChecked(root.get(), nullptr);
-    ASSERT_TRUE(checked.ok());
-    EXPECT_EQ(CanonicalString(*checked),
-              CanonicalString(ExecutePipelined(expr, db_)));
-  }
-  {
-    BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
-    Result<Relation> checked = DrainChecked(root.get(), nullptr);
-    ASSERT_TRUE(checked.ok());
-    EXPECT_EQ(CanonicalString(*checked),
-              CanonicalString(ExecutePipelined(expr, db_)));
-  }
-}
-
-// Adapters forward the control into the subtree they wrap: a cancelled
-// control stops a tuple pipeline running under a batch root.
-TEST_F(BatchEquivTest, AdapterForwardsControlToWrappedSubtree) {
-  ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
   ExecControl control;
   control.RequestCancel();
-  TupleBatchAdapter adapter(BuildIterator(expr, db_, JoinAlgo::kAuto));
-  adapter.SetControl(&control);
-  Result<Relation> result = DrainChecked(&adapter, &control);
+  BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
+  root->SetControl(&control);
+  Result<Relation> result = DrainChecked(root.get(), &control);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
 
-// --- RunQuery: engine choice and deadline through RunOptions ----------
+TEST_F(BatchEquivTest, DrainCheckedSurfacesDeadline) {
+  ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
+  ExecControl control;
+  control.set_deadline(std::chrono::steady_clock::now());  // already due
+  BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
+  root->SetControl(&control);
+  Result<Relation> result = DrainChecked(root.get(), &control);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+}
 
-TEST(BatchRunQueryTest, EnginesAgreeThroughTheFacade) {
+TEST_F(BatchEquivTest, DrainCheckedWithoutControlMatchesDrain) {
+  ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
+  BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
+  Result<Relation> checked = DrainChecked(root.get(), nullptr);
+  ASSERT_TRUE(checked.ok());
+  EXPECT_EQ(CanonicalString(*checked),
+            CanonicalString(ExecuteBatched(expr, db_)));
+}
+
+// --- RunQuery: the facade's execution options -------------------------
+
+// The facade's result and per-operator counters are those of the plan it
+// reports, as the evaluator computes them.
+TEST(BatchRunQueryTest, FacadeAgreesWithEval) {
   NestedDb db = MakeCompanyNestedDb();
   const std::string query =
       "Select All From EMPLOYEE*ChildName, DEPARTMENT "
       "Where EMPLOYEE.D# = DEPARTMENT.D#";
-  Result<QueryRunResult> batch =
-      RunQuery(db, query, RunOptions().WithEngine(ExecEngine::kBatch));
-  Result<QueryRunResult> tuple =
-      RunQuery(db, query, RunOptions().WithEngine(ExecEngine::kTuple));
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_TRUE(tuple.ok()) << tuple.status().ToString();
-  EXPECT_EQ(batch->engine, ExecEngine::kBatch);
-  EXPECT_EQ(tuple->engine, ExecEngine::kTuple);
-  EXPECT_EQ(CanonicalString(batch->relation), CanonicalString(tuple->relation));
-  ExpectCountersEq(SumPipelineStats(batch->plan_stats),
-                   SumPipelineStats(tuple->plan_stats), query);
+  Result<QueryRunResult> run = RunQuery(db, query);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EvalStats eval_stats;
+  Relation reference = Eval(run->optimize.plan, *run->translation.db,
+                            EvalOptions(), &eval_stats);
+  EXPECT_EQ(CanonicalString(run->relation), CanonicalString(reference));
+  ExpectCountersEq(SumPipelineStats(run->plan_stats), eval_stats.totals,
+                   query);
 }
 
 TEST(BatchRunQueryTest, ExpiredDeadlineSurfacesThroughRunQuery) {
   NestedDb db = MakeScaledCompanyNestedDb(50);
   const std::string query =
       "Select All From EMPLOYEE e1, EMPLOYEE e2 Where e1.Rank = e2.Rank";
-  for (ExecEngine engine : {ExecEngine::kTuple, ExecEngine::kBatch}) {
-    Result<QueryRunResult> run =
-        RunQuery(db, query,
-                 RunOptions().WithEngine(engine).WithDeadline(
-                     std::chrono::milliseconds(0)));
-    ASSERT_FALSE(run.ok()) << ExecEngineName(engine);
-    EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded)
-        << ExecEngineName(engine);
-  }
+  Result<QueryRunResult> run = RunQuery(
+      db, query, RunOptions().WithDeadline(std::chrono::milliseconds(0)));
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(BatchRunQueryTest, CancelledControlSurfacesThroughRunQuery) {

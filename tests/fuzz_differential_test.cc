@@ -98,7 +98,7 @@ TEST(FuzzShrinkTest, InjectedPaddingBugShrinksToTinyRepro) {
 // and a shrink request must leave the case intact.
 TEST(FuzzShrinkTest, HealthyCaseDoesNotDiverge) {
   FuzzCase fuzz_case = GenerateFuzzCase(0x5eed);
-  EXPECT_FALSE(CheckStillDiverges(fuzz_case, "tuple-engine"));
+  EXPECT_FALSE(CheckStillDiverges(fuzz_case, "batch-engine"));
   EXPECT_FALSE(CheckStillDiverges(fuzz_case, "optimizer"));
   EXPECT_FALSE(CheckStillDiverges(fuzz_case, "bt:*"));
 }

@@ -29,7 +29,7 @@ TEST(GoldenTest, DeptEmpOuterjoinListing) {
       "  (3, 'Archive', 'Zurich', -, -, -, -)\n";
   EXPECT_EQ(CanonicalString(Eval(listing, *db), &db->catalog()), kExpected);
   // The pipelined executor produces the identical canonical text.
-  EXPECT_EQ(CanonicalString(ExecutePipelined(listing, *db), &db->catalog()),
+  EXPECT_EQ(CanonicalString(ExecuteBatched(listing, *db), &db->catalog()),
             kExpected);
 }
 
