@@ -1,7 +1,9 @@
 // Morsel-driven parallel scaling on the batch executor (exec/morsel.h):
 // the same 200k-row pipelines bench_batch.cc measures — scan -> filter,
-// scan -> filter -> hash join, and a null-padding left outerjoin — each
-// drained at 1, 2, 4, and 8 workers through BuildParallelBatchIterator.
+// scan -> filter -> hash join, and a null-padding left outerjoin — plus
+// a generalized outerjoin whose per-DISTINCT pads (eq. 14) are merged
+// across workers, each drained at 1, 2, 4, and 8 workers through
+// BuildParallelBatchIterator.
 // Every worker count is checksum-cross-checked against the serial run,
 // so the numbers only count agreeing executions.
 //
@@ -196,6 +198,10 @@ int Main(int argc, char** argv) {
   Measure("scan_filter_leftouter",
           Expr::OuterJoin(Expr::Restrict(leaf_r(), half), leaf_s(), keys,
                           /*preserves_left=*/true),
+          db, kRows, reps, &reports);
+  Measure("scan_filter_goj",
+          Expr::Goj(Expr::Restrict(leaf_r(), half), leaf_s(), keys,
+                    AttrSet::Of({a})),
           db, kRows, reps, &reports);
   Emit(reports);
   return 0;

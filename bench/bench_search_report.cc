@@ -199,8 +199,8 @@ Row BenchDp(const Topology& t, const CostModel& model, int n, int reps,
   return {op, n, best_dt, plan.plans_considered, plan.states_visited};
 }
 
-Row BenchProbe(const Relation& rel, const HashIndex& index, int probes,
-               int reps, bool borrowed, const char* op) {
+Row BenchProbe(const HashIndex& index, int probes, int reps, bool borrowed,
+               const char* op) {
   int64_t best = -1;
   size_t hits = 0;
   std::vector<Value> scratch;
@@ -271,10 +271,8 @@ int Main(int argc, char** argv) {
     auto db = MakeExample1Database(probes);
     const Relation& rel = db->relation(db->Rel("R2"));
     HashIndex index(rel, std::vector<AttrId>{db->Attr("R2", "k")});
-    rows.push_back(
-        BenchProbe(rel, index, probes, reps, false, "probe_alloc"));
-    rows.push_back(
-        BenchProbe(rel, index, probes, reps, true, "probe_borrowed"));
+    rows.push_back(BenchProbe(index, probes, reps, false, "probe_alloc"));
+    rows.push_back(BenchProbe(index, probes, reps, true, "probe_borrowed"));
   }
 
   std::printf("[\n");

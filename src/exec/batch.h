@@ -19,8 +19,8 @@
 // pipelines never hit the lazy paths: scans attach relation columns to
 // their views, filters evaluate kernels over those and narrow the
 // selection in place, and pure equi hash joins emit columns directly —
-// rows are materialized only at pipeline boundaries (exchange staging,
-// result drains).
+// rows are materialized only at pipeline boundaries (result drains);
+// an exchange hands whole batches across threads.
 //
 // Selection-vector semantics are unchanged: when active, only
 // rows at sel[i] are alive; `size()` counts live rows and `selected(i)`

@@ -20,6 +20,68 @@ Relation DrainBatches(BatchIterator* iterator) {
   return out;
 }
 
+namespace {
+
+/// An input drained by DrainOrReference: the rows, and their column
+/// mirror when they are a referenced relation rather than a copy.
+struct DrainedInput {
+  const Relation* rows;
+  const RelationColumns* columns;
+};
+
+/// Drains `input` (Open through Close). A plain base-relation scan, or a
+/// morsel worker's scan of a shared input, streams the whole of one
+/// columnized relation as contiguous unselected views; when every batch
+/// fits that pattern the result references that relation (and its shared
+/// column mirror) instead of copying a tuple. Otherwise the rows are
+/// copied into *owned, which the result then points to. The input is
+/// drained either way, so its ExecStats match the kernel accounting.
+DrainedInput DrainOrReference(BatchIterator* input, Relation* owned) {
+  Relation raw(input->scheme());
+  input->Open();
+  TupleBatch scratch;
+  const RelationColumns* shared = nullptr;
+  size_t shared_end = 0;
+  bool zero_copy = true;
+  while (input->NextBatch(&scratch)) {
+    const size_t n = scratch.size();
+    if (zero_copy) {
+      size_t off = 0;
+      const RelationColumns* src = scratch.view_source(&off);
+      if (src != nullptr && !scratch.sel_active() &&
+          (shared == nullptr ? off == 0 : (src == shared &&
+                                           off == shared_end))) {
+        shared = src;
+        shared_end += n;
+        continue;  // rows already live in the relation
+      }
+      // Pattern broke: backfill the prefix we skipped, then copy.
+      zero_copy = false;
+      for (size_t i = 0; i < shared_end; ++i) {
+        raw.AddRow(shared->relation().row(i));
+      }
+    }
+    for (size_t i = 0; i < n; ++i) raw.AddRow(scratch.selected(i));
+  }
+  input->Close();
+  if (zero_copy && shared != nullptr &&
+      shared_end == shared->relation().NumRows()) {
+    *owned = Relation();
+    return {&shared->relation(), shared};
+  }
+  if (zero_copy && shared != nullptr) {
+    // Contiguous views but not the whole relation (e.g. a morsel
+    // range): materialize the drained prefix after all.
+    for (size_t i = 0; i < shared_end; ++i) {
+      raw.AddRow(shared->relation().row(i));
+    }
+  }
+  *owned = std::move(raw);
+  return {owned, nullptr};
+}
+
+}  // namespace
+
 Result<Relation> DrainChecked(BatchIterator* iterator, ExecControl* control) {
   Relation out = DrainBatches(iterator);
   if (control != nullptr) {
@@ -385,6 +447,14 @@ BatchHashJoinIterator::BatchHashJoinIterator(
   }
 }
 
+namespace {
+
+/// The conjuncts of `pred` an equi-key index probe on (left_keys[i],
+/// right_keys[i]) does NOT discharge. A conjunct `l = r` whose column
+/// pair is one of the key pairs is decided exactly by the probe's
+/// normalized-key equality (SQL equality on non-null keys; null keys
+/// never probe), so only the remaining conjuncts need per-candidate
+/// re-evaluation. Returns nullptr when nothing remains.
 PredicatePtr ResidualAfterEquiKeys(const PredicatePtr& pred,
                                    const std::vector<AttrId>& left_keys,
                                    const std::vector<AttrId>& right_keys) {
@@ -407,8 +477,6 @@ PredicatePtr ResidualAfterEquiKeys(const PredicatePtr& pred,
   if (residual.empty()) return nullptr;
   return Predicate::And(std::move(residual));
 }
-
-namespace {
 
 // The flat probe table hashes with HashNumericKey (relational/column.h),
 // shared with the batched HashColumns primitive so dense-hashed probes
@@ -552,56 +620,11 @@ void BatchHashJoinIterator::OpenImpl() {
   left_->Open();
   residual_ = ResidualAfterEquiKeys(pred_, left_keys_, right_keys_);
   if (residual_ != nullptr) bound_.Bind(residual_, joined_scheme_);
-  // Build phase: materialize and index the right input, once per Open().
-  // Zero-copy detection: a plain base-relation scan streams the whole of
-  // one columnized relation as contiguous unselected views; when every
-  // batch fits that pattern the build references the relation (and its
-  // shared columnar mirror) instead of copying every tuple. The child is
-  // still drained normally so its ExecStats match the kernel accounting.
-  Relation raw(right_->scheme());
-  right_->Open();
-  TupleBatch scratch;
-  const RelationColumns* shared = nullptr;
-  size_t shared_end = 0;
-  bool zero_copy = true;
-  while (right_->NextBatch(&scratch)) {
-    const size_t n = scratch.size();
-    if (zero_copy) {
-      size_t off = 0;
-      const RelationColumns* src = scratch.view_source(&off);
-      if (src != nullptr && !scratch.sel_active() &&
-          (shared == nullptr ? off == 0 : (src == shared &&
-                                           off == shared_end))) {
-        shared = src;
-        shared_end += n;
-        continue;  // rows already live in the relation
-      }
-      // Pattern broke: backfill the prefix we skipped, then copy.
-      zero_copy = false;
-      for (size_t i = 0; i < shared_end; ++i) {
-        raw.AddRow(shared->relation().row(i));
-      }
-    }
-    for (size_t i = 0; i < n; ++i) raw.AddRow(scratch.selected(i));
-  }
-  right_->Close();
-  if (zero_copy && shared != nullptr &&
-      shared_end == shared->relation().NumRows()) {
-    build_side_ = Relation();
-    build_rel_ = &shared->relation();
-    shared_build_cols_ = shared;
-  } else {
-    if (zero_copy && shared != nullptr) {
-      // Contiguous views but not the whole relation (e.g. a morsel
-      // range): materialize the drained prefix after all.
-      for (size_t i = 0; i < shared_end; ++i) {
-        raw.AddRow(shared->relation().row(i));
-      }
-    }
-    build_side_ = std::move(raw);
-    build_rel_ = &build_side_;
-    shared_build_cols_ = nullptr;
-  }
+  // Build phase: materialize (or reference) and index the right input,
+  // once per Open().
+  const DrainedInput build = DrainOrReference(right_.get(), &build_side_);
+  build_rel_ = build.rows;
+  shared_build_cols_ = build.columns;
   // Columnar emission whenever the probe discharges the whole predicate:
   // matches are appended column-by-column from the probe side's columns
   // and the build side's columnized mirror, instead of assembling a
@@ -1170,22 +1193,52 @@ const Scheme& BatchHashJoinIterator::scheme() const { return out_scheme_; }
 
 // --- Generalized outerjoin ---------------------------------------------
 
+void GojPadMerge::Arm(int contributors) {
+  std::lock_guard<std::mutex> lock(mu_);
+  unmatched_.clear();
+  matched_.clear();
+  remaining_ = contributors;
+}
+
+bool GojPadMerge::Fold(ProjectionSet* unmatched, ProjectionSet* matched) {
+  std::lock_guard<std::mutex> lock(mu_);
+  unmatched_.merge(*unmatched);
+  matched_.merge(*matched);
+  FRO_CHECK_GT(remaining_, 0) << "GojPadMerge folded more often than armed";
+  if (--remaining_ > 0) return false;
+  unmatched->swap(unmatched_);
+  matched->swap(matched_);
+  return true;
+}
+
 BatchGojIterator::BatchGojIterator(BatchIteratorPtr left,
                                    BatchIteratorPtr right, PredicatePtr pred,
-                                   AttrSet subset, JoinAlgo algo)
+                                   AttrSet subset, JoinAlgo algo,
+                                   std::shared_ptr<GojPadMerge> merge)
     : left_(std::move(left)),
       right_(std::move(right)),
       pred_(std::move(pred)),
       subset_(std::move(subset)),
       algo_(algo),
+      merge_(std::move(merge)),
       out_scheme_(left_->scheme().Concat(right_->scheme())) {}
 
 void BatchGojIterator::OpenImpl() {
-  Relation left_rel = DrainBatches(left_.get());
-  Relation right_rel = DrainBatches(right_.get());
+  // Whole base relations and shared inputs are read in place, so morsel
+  // workers do not each copy the same off-spine input.
+  Relation left_copy;
+  Relation right_copy;
+  const Relation& left_rel = *DrainOrReference(left_.get(), &left_copy).rows;
+  const Relation& right_rel =
+      *DrainOrReference(right_.get(), &right_copy).rows;
   KernelStats ks;
-  result_ = GeneralizedOuterJoin(left_rel, right_rel, pred_, subset_, algo_,
-                                 &ks);
+  GojJoinStep step =
+      GojJoin(left_rel, right_rel, pred_, subset_, algo_, &ks);
+  if (merge_ == nullptr || merge_->Fold(&step.unmatched, &step.matched)) {
+    AppendGojPads(left_rel.scheme(), subset_, step.unmatched, step.matched,
+                  &step.joined, &ks);
+  }
+  result_ = std::move(step.joined);
   ks.emitted = 0;  // counted by the base class as batches stream out
   mutable_stats() += ks;
   pos_ = 0;

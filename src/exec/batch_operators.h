@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <vector>
@@ -44,17 +45,6 @@ enum class JoinMode : uint8_t {
   kAnti,
   kSemi,
 };
-
-/// The conjuncts of `pred` an equi-key index probe on (left_keys[i],
-/// right_keys[i]) does NOT discharge. A conjunct `l = r` whose column
-/// pair is one of the key pairs is decided exactly by the probe's
-/// normalized-key equality (SQL equality on non-null keys; null keys
-/// never probe), so only the remaining conjuncts need per-candidate
-/// re-evaluation. Returns nullptr when nothing remains. Shared by the
-/// serial and morsel-parallel hash joins so their accounting agrees.
-PredicatePtr ResidualAfterEquiKeys(const PredicatePtr& pred,
-                                   const std::vector<AttrId>& left_keys,
-                                   const std::vector<AttrId>& right_keys);
 
 /// Full scan of a materialized relation (which must outlive the scan).
 class BatchScanIterator : public BatchIterator {
@@ -397,13 +387,37 @@ class BatchHashJoinIterator : public BatchIterator {
   std::vector<uint32_t> stream_cand_;
 };
 
-/// GOJ[subset, pred](left, right): blocking; materializes both inputs at
-/// Open() and streams the kernel's result in batches.
+/// eq. 14's padding term for a GOJ whose preserved input is split across
+/// morsel workers. No worker can decide π[S](L) − π[S](JN) alone, so
+/// each folds its join step's two projection sets in here; the last of
+/// the armed contributors gets the unions back and emits the pads, so
+/// every pad comes out exactly once.
+class GojPadMerge {
+ public:
+  /// Re-arms for `contributors` folds; call before any worker opens.
+  void Arm(int contributors);
+
+  /// Folds one contributor's sets (GojJoinStep's). Returns true for the
+  /// last one, with the merged sets swapped into *unmatched / *matched.
+  bool Fold(ProjectionSet* unmatched, ProjectionSet* matched);
+
+ private:
+  std::mutex mu_;
+  ProjectionSet unmatched_;
+  ProjectionSet matched_;
+  int remaining_ = 0;
+};
+
+/// GOJ[subset, pred](left, right): blocking; drains both inputs at Open()
+/// (a whole base relation or shared input is read in place, not copied)
+/// and streams the kernel's result in batches. With a `merge`
+/// (morsel workers) the pads are left to the merge's last contributor.
 class BatchGojIterator : public BatchIterator {
  public:
   BatchGojIterator(BatchIteratorPtr left, BatchIteratorPtr right,
                    PredicatePtr pred, AttrSet subset,
-                   JoinAlgo algo = JoinAlgo::kAuto);
+                   JoinAlgo algo = JoinAlgo::kAuto,
+                   std::shared_ptr<GojPadMerge> merge = nullptr);
   const Scheme& scheme() const override;
   const char* physical_name() const override { return "Goj"; }
   std::vector<BatchIterator*> children() const override {
@@ -421,6 +435,7 @@ class BatchGojIterator : public BatchIterator {
   PredicatePtr pred_;
   AttrSet subset_;
   JoinAlgo algo_;
+  std::shared_ptr<GojPadMerge> merge_;
   Scheme out_scheme_;
   Relation result_;
   size_t pos_ = 0;

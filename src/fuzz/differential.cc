@@ -1,5 +1,6 @@
 #include "fuzz/differential.h"
 
+#include <map>
 #include <unordered_set>
 #include <vector>
 
@@ -38,6 +39,96 @@ std::string Excerpt(const Relation& rel, const Catalog* catalog) {
   return s;
 }
 
+// Every name a check site gates on (Differ::WantCheck). WantCheck
+// refuses any other name, so a new site cannot run unregistered, and
+// CheckStillDiverges refuses a name that resolves to none of them: a
+// misspelled or deleted check fails loudly instead of never diverging.
+bool IsCheckGate(const std::string& name) {
+  static const std::unordered_set<std::string> gates = [] {
+    std::unordered_set<std::string> names = {
+        "eval-nl", "eval-hash", "batch-engine", "stats-parity", "wcoj-eval",
+        "wcoj-batch", "wcoj-stats-parity", "acyclic-eval", "acyclic-batch",
+        "acyclic-stats-parity", "optimizer", "plan-cache", "feedback-replan",
+        "feedback-replay", "feedback-batch", "feedback-batch-cap1", "closure",
+        "it-enum", "canonical-orientation", "simplify", "goj-rewrite", "bt:*"};
+    for (const char* cap : {"1", "2", "3"}) {
+      names.insert(std::string("batch-engine-cap") + cap);
+    }
+    for (const char* cap : {"1", "3"}) {
+      names.insert(std::string("wcoj-batch-cap") + cap);
+      names.insert(std::string("acyclic-batch-cap") + cap);
+    }
+    for (const char* family :
+         {"parallel-engine-w", "parallel-stats-parity-w", "wcoj-parallel-w",
+          "wcoj-parallel-stats-parity-w", "acyclic-parallel-w",
+          "acyclic-parallel-stats-parity-w", "feedback-parallel-w",
+          "feedback-parallel-stats-parity-w"}) {
+      for (const char* workers : {"1", "2", "4"}) {
+        names.insert(std::string(family) + workers);
+      }
+    }
+    return names;
+  }();
+  return gates.count(name) > 0;
+}
+
+// The gate that runs the site reporting `check`: a reported name is its
+// own gate, except basic-transform sites ("bt:<rule>", all under "bt:*"),
+// the result comparisons riding along a counter check
+// ("<gate>-results"), and the optimizer's batch re-runs.
+std::string CheckGate(const std::string& check) {
+  if (check.rfind("bt:", 0) == 0) return "bt:*";
+  if (check == "optimizer-batch" || check == "optimizer-batch-cap1") {
+    return "optimizer";
+  }
+  const std::string results = "-results";
+  if (check.size() > results.size() &&
+      check.compare(check.size() - results.size(), results.size(),
+                    results) == 0) {
+    return check.substr(0, check.size() - results.size());
+  }
+  return check;
+}
+
+bool SameCounters(const ExecStats& a, const ExecStats& b) {
+  return a.left_reads == b.left_reads && a.right_reads == b.right_reads &&
+         a.emitted == b.emitted && a.probes == b.probes &&
+         a.predicate_evals == b.predicate_evals;
+}
+
+// Counters of every operator of an executed plan, by the expression node
+// it implements. Passthrough exchanges are skipped, so a morsel-parallel
+// plan maps onto the serial plan's nodes.
+std::map<const Expr*, ExecStats> CountersByNode(const PlanOpStats& root) {
+  std::map<const Expr*, ExecStats> by_node;
+  ForEachOp(root, [&](const PlanOpStats& node, int) {
+    if (!node.passthrough) by_node[node.source_expr.get()] += node.stats;
+  });
+  return by_node;
+}
+
+// The first plan node whose counters differ between the serial and the
+// parallel execution of one plan, described; empty when all agree.
+std::string NodeCounterDiff(const PlanOpStats& serial,
+                            const PlanOpStats& parallel) {
+  const std::map<const Expr*, ExecStats> want = CountersByNode(serial);
+  const std::map<const Expr*, ExecStats> got = CountersByNode(parallel);
+  if (want.size() != got.size()) {
+    return "serial plan has " + std::to_string(want.size()) +
+           " annotated nodes, parallel plan " + std::to_string(got.size());
+  }
+  for (const auto& [node, stats] : want) {
+    const std::string name = node != nullptr ? node->ToString() : "(none)";
+    auto it = got.find(node);
+    if (it == got.end()) return "parallel plan lacks node " + name;
+    if (!SameCounters(stats, it->second)) {
+      return "node " + name + "\nserial: " + stats.ToString() +
+             "\nparallel: " + it->second.ToString();
+    }
+  }
+  return "";
+}
+
 class Differ {
  public:
   Differ(const FuzzCase& fuzz_case, const DiffOptions& options,
@@ -69,6 +160,8 @@ class Differ {
   }
 
   bool WantCheck(const std::string& check) const {
+    FRO_CHECK(check.rfind("bt:", 0) == 0 || IsCheckGate(check))
+        << "check site gates on unregistered name " << check;
     if (only_ == nullptr) return true;
     if (*only_ == check) return true;
     // "bt:*" selects every basic-transform metamorphic site.
@@ -98,12 +191,7 @@ class Differ {
                           const ExecStats& want, const char* got_label,
                           const ExecStats& got) {
     ++report_->checks_run;
-    if (want.left_reads == got.left_reads &&
-        want.right_reads == got.right_reads && want.emitted == got.emitted &&
-        want.probes == got.probes &&
-        want.predicate_evals == got.predicate_evals) {
-      return;
-    }
+    if (SameCounters(want, got)) return;
     auto describe = [](const char* label, const ExecStats& stats) {
       return std::string(label) + ": " + stats.ToString() + " (left=" +
              std::to_string(stats.left_reads) +
@@ -133,7 +221,7 @@ class Differ {
   /// agree with the oracle (`<result_prefix>N`) AND report exactly the
   /// serial batch engine's counters (`<stats_prefix>N`) at every worker
   /// count N. Tiny morsels and batches force real work splitting (and
-  /// the GOJ cross-partition padding merge) even on the small relations
+  /// the GOJ cross-worker padding merge) even on the small relations
   /// fuzz cases generate.
   void CheckParallelPlan(const ExprPtr& plan, const std::string& result_prefix,
                          const std::string& stats_prefix) {
@@ -153,9 +241,17 @@ class Differ {
       if (want_stats) {
         BatchIteratorPtr serial = BuildBatchIterator(plan, *c_.db);
         DrainBatches(serial.get());
-        ExpectSameCounters(stats_check, "serial",
-                           CollectPipelineStats(serial.get()), "parallel",
-                           CollectPipelineStats(root.get()));
+        // Node by node (scans included: a base relation every worker
+        // reads whole still reports its rows once), then the totals.
+        const std::string node_diff = NodeCounterDiff(
+            SnapshotPlanStats(serial.get()), SnapshotPlanStats(root.get()));
+        if (!node_diff.empty()) {
+          Fail(stats_check, node_diff);
+        } else {
+          ExpectSameCounters(stats_check, "serial",
+                             CollectPipelineStats(serial.get()), "parallel",
+                             CollectPipelineStats(root.get()));
+        }
       }
     }
   }
@@ -496,9 +592,10 @@ DiffReport RunDifferential(const FuzzCase& fuzz_case,
 
 bool CheckStillDiverges(const FuzzCase& fuzz_case, const std::string& check,
                         const DiffOptions& options) {
+  const std::string only = CheckGate(check);
+  FRO_CHECK(IsCheckGate(only)) << "unknown fuzz check: " << check;
   DiffReport report;
   Differ differ(fuzz_case, options, &report);
-  const std::string only = check.rfind("bt:", 0) == 0 ? "bt:*" : check;
   differ.RestrictTo(&only);
   differ.RunAll();
   for (const Divergence& d : report.divergences) {

@@ -116,7 +116,8 @@ DiffReport RunDifferential(const FuzzCase& fuzz_case,
 
 /// Re-runs only the named check (a Divergence::check value; "bt:*"
 /// prefixes match any basic-transform site). True if the check still
-/// diverges — the shrinker's predicate.
+/// diverges — the shrinker's predicate; false when it passes or does not
+/// apply to the case. Check-fails on a name no check site can report.
 bool CheckStillDiverges(const FuzzCase& fuzz_case, const std::string& check,
                         const DiffOptions& options = DiffOptions());
 

@@ -259,22 +259,27 @@ Relation Semijoin(const Relation& left, const Relation& right,
   return out;
 }
 
-Relation GeneralizedOuterJoin(const Relation& left, const Relation& right,
-                              const PredicatePtr& pred, const AttrSet& subset,
-                              JoinAlgo algo, KernelStats* stats) {
+namespace {
+
+std::vector<int> SubsetPositions(const Scheme& left_scheme,
+                                 const AttrSet& subset) {
+  std::vector<int> positions;
+  for (AttrId attr : subset) positions.push_back(left_scheme.IndexOf(attr));
+  return positions;
+}
+
+}  // namespace
+
+GojJoinStep GojJoin(const Relation& left, const Relation& right,
+                    const PredicatePtr& pred, const AttrSet& subset,
+                    JoinAlgo algo, KernelStats* stats) {
   FRO_CHECK(left.scheme().ToAttrSet().ContainsAll(subset))
       << "GOJ subset must be contained in the left scheme";
   KernelStats local;
   Matcher matcher(left, right, pred, algo, &local);
-  Relation out(matcher.out_scheme());
-
-  // Positions of the subset attributes in the left scheme, and in the
-  // output scheme (left columns keep their positions under Concat).
-  std::vector<int> subset_positions;
-  for (AttrId attr : subset) {
-    subset_positions.push_back(left.scheme().IndexOf(attr));
-  }
-
+  GojJoinStep step{Relation(matcher.out_scheme()), {}, {}};
+  const std::vector<int> subset_positions =
+      SubsetPositions(left.scheme(), subset);
   auto project_subset = [&](const Tuple& lrow) {
     std::vector<Value> key;
     key.reserve(subset_positions.size());
@@ -283,34 +288,45 @@ Relation GeneralizedOuterJoin(const Relation& left, const Relation& right,
     }
     return key;
   };
-
-  // π[S] of the joined tuples (set semantics), and π[S] of all left rows.
-  std::set<std::vector<Value>> matched_projections;
-  std::set<std::vector<Value>> left_projections;
-
   matcher.Run(
-      [&](const Tuple& lrow, const Tuple&, const Tuple& joined) {
+      [&](const Tuple&, const Tuple&, const Tuple& joined) {
         ++local.emitted;
-        out.AddRow(joined);
-        matched_projections.insert(project_subset(lrow));
+        step.joined.AddRow(joined);
       },
-      [&](const Tuple& lrow, bool) {
-        left_projections.insert(project_subset(lrow));
+      [&](const Tuple& lrow, bool had_match) {
+        (had_match ? step.matched : step.unmatched)
+            .insert(project_subset(lrow));
       });
+  if (stats != nullptr) *stats += local;
+  return step;
+}
 
-  // (π[S](L) − π[S](JN)) × null: one padded tuple per missing projection.
-  const Scheme& out_scheme = matcher.out_scheme();
-  for (const std::vector<Value>& key : left_projections) {
-    if (matched_projections.count(key) > 0) continue;
-    std::vector<Value> values(out_scheme.size());
+void AppendGojPads(const Scheme& left_scheme, const AttrSet& subset,
+                   const ProjectionSet& unmatched,
+                   const ProjectionSet& matched, Relation* out,
+                   KernelStats* stats) {
+  const std::vector<int> subset_positions =
+      SubsetPositions(left_scheme, subset);
+  uint64_t pads = 0;
+  for (const std::vector<Value>& key : unmatched) {
+    if (matched.count(key) > 0) continue;
+    std::vector<Value> values(out->scheme().size());
     for (size_t k = 0; k < subset_positions.size(); ++k) {
       values[static_cast<size_t>(subset_positions[k])] = key[k];
     }
-    ++local.emitted;
-    out.AddRow(Tuple(std::move(values)));
+    ++pads;
+    out->AddRow(Tuple(std::move(values)));
   }
-  if (stats != nullptr) *stats += local;
-  return out;
+  if (stats != nullptr) stats->emitted += pads;
+}
+
+Relation GeneralizedOuterJoin(const Relation& left, const Relation& right,
+                              const PredicatePtr& pred, const AttrSet& subset,
+                              JoinAlgo algo, KernelStats* stats) {
+  GojJoinStep step = GojJoin(left, right, pred, subset, algo, stats);
+  AppendGojPads(left.scheme(), subset, step.unmatched, step.matched,
+                &step.joined, stats);
+  return std::move(step.joined);
 }
 
 Relation Restrict(const Relation& input, const PredicatePtr& pred,

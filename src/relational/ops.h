@@ -18,6 +18,7 @@
 #define FRO_RELATIONAL_OPS_H_
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "relational/exec_stats.h"
@@ -84,10 +85,36 @@ Relation Semijoin(const Relation& left, const Relation& right,
                   KernelStats* stats,
                   const HashIndex* prebuilt_right_index = nullptr);
 
+/// DISTINCT S-projections of tuples, in S's attribute order.
+using ProjectionSet = std::set<std::vector<Value>>;
+
+/// The join step of GOJ[S, p](L, R): JN[p](L, R) together with the two
+/// sets eq. 14's padding term π[S](L) − π[S](JN) is computed from. Each
+/// left row's projection lands in exactly one of them, so the term is
+/// `unmatched` − `matched` (a projection some row matched is never a
+/// pad). `subset` must be contained in L's scheme.
+struct GojJoinStep {
+  Relation joined;
+  ProjectionSet matched;    // π[S] of the left rows that joined
+  ProjectionSet unmatched;  // π[S] of the left rows that did not
+};
+GojJoinStep GojJoin(const Relation& left, const Relation& right,
+                    const PredicatePtr& pred, const AttrSet& subset,
+                    JoinAlgo algo, KernelStats* stats);
+
+/// The pad step: appends one tuple per projection in `unmatched` missing
+/// from `matched`, in set order, holding the projection and nulls
+/// elsewhere. `out`'s scheme starts with L's (left columns keep their
+/// positions under Concat), which `subset` is resolved against.
+void AppendGojPads(const Scheme& left_scheme, const AttrSet& subset,
+                   const ProjectionSet& unmatched,
+                   const ProjectionSet& matched, Relation* out,
+                   KernelStats* stats);
+
 /// GOJ[S, p](L, R), paper eq. 14: the join, plus — for each *distinct*
 /// S-projection of L that never appears in the join — one tuple holding
 /// that projection padded with nulls on all other attributes. `subset` must
-/// be contained in L's scheme.
+/// be contained in L's scheme. The composition of GojJoin and AppendGojPads.
 Relation GeneralizedOuterJoin(const Relation& left, const Relation& right,
                               const PredicatePtr& pred, const AttrSet& subset,
                               JoinAlgo algo, KernelStats* stats);

@@ -101,6 +101,20 @@ TEST(FuzzShrinkTest, HealthyCaseDoesNotDiverge) {
   EXPECT_FALSE(CheckStillDiverges(fuzz_case, "batch-engine"));
   EXPECT_FALSE(CheckStillDiverges(fuzz_case, "optimizer"));
   EXPECT_FALSE(CheckStillDiverges(fuzz_case, "bt:*"));
+  // Names reported by sites gated under another name resolve to it.
+  EXPECT_FALSE(CheckStillDiverges(fuzz_case, "optimizer-batch"));
+  EXPECT_FALSE(CheckStillDiverges(fuzz_case, "stats-parity-results"));
+  EXPECT_FALSE(CheckStillDiverges(fuzz_case, "parallel-stats-parity-w4"));
+}
+
+// A name no check site can report must not shrink vacuously: a typo, or
+// a check whose engine was deleted, fails loudly.
+TEST(FuzzShrinkTest, UnknownCheckNameFailsLoudly) {
+  FuzzCase fuzz_case = GenerateFuzzCase(0x5eed);
+  EXPECT_DEATH(CheckStillDiverges(fuzz_case, "no-such-check"),
+               "unknown fuzz check: no-such-check");
+  EXPECT_DEATH(CheckStillDiverges(fuzz_case, "tuple-engine"),
+               "unknown fuzz check: tuple-engine");
 }
 
 // The GOJ gate the fuzzer forced into the optimizer: with a duplicated

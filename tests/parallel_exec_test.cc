@@ -1,18 +1,22 @@
 // Morsel-driven parallel execution (exec/morsel.h): the parallel batch
 // pipeline must be result-transparent against the serial batch engine —
-// identical result bags AND identical ExecStats counter totals — for
-// every operator kind, at every worker count, down to one-row morsels.
+// identical result bags AND identical ExecStats counters, in total and
+// per plan node — for every operator kind, at every worker count, down
+// to one-row morsels.
 // With threads <= 1 it must be *byte-identical* (same plan, same row
 // order). Also covers the MorselQueue work-claiming contract, the GOJ
-// cross-partition padding merge (each eq. 14 pad emitted exactly once,
+// cross-worker padding merge (each eq. 14 pad emitted exactly once,
 // no matter how unmatched left rows scatter across morsels),
 // cancellation/deadline propagation into worker pipelines, empty
-// drivers, and EXPLAIN ANALYZE's Exchange rendering with serial-equal
-// totals.
+// drivers, EXPLAIN ANALYZE's Exchange rendering with serial-equal
+// totals and Q-error, and worker pipelines whose serial operators meet shared
+// non-leaf inputs, stacked spine joins, a GOJ over a join, and the hash
+// join's build-side flip.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -38,8 +42,21 @@ void ExpectCountersEq(const ExecStats& got, const ExecStats& want,
   EXPECT_EQ(got.predicate_evals, want.predicate_evals) << context;
 }
 
+// Counters of every operator of an executed plan, by the expression node
+// it implements; the exchange (a passthrough) is skipped, so a parallel
+// plan maps onto the serial plan's nodes.
+std::map<const Expr*, ExecStats> CountersByNode(BatchIterator* root) {
+  std::map<const Expr*, ExecStats> by_node;
+  ForEachOp(SnapshotPlanStats(root), [&](const PlanOpStats& node, int) {
+    if (!node.passthrough) by_node[node.source_expr.get()] += node.stats;
+  });
+  return by_node;
+}
+
 // Runs `expr` serially and with `threads` workers over tiny morsels, and
-// asserts equal result bags and exactly equal pipeline counter totals.
+// asserts equal result bags, exactly equal pipeline counter totals, and
+// equal counters node by node — scans included, so a base relation every
+// worker scans whole still reports its rows once.
 void ExpectParallelMatchesSerial(const ExprPtr& expr, const Database& db,
                                  int threads, size_t morsel_rows,
                                  JoinAlgo algo = JoinAlgo::kAuto) {
@@ -61,6 +78,17 @@ void ExpectParallelMatchesSerial(const ExprPtr& expr, const Database& db,
   EXPECT_TRUE(BagEquals(serial_out, parallel_out)) << context;
   ExpectCountersEq(CollectPipelineStats(parallel.get()),
                    CollectPipelineStats(serial.get()), context);
+  const std::map<const Expr*, ExecStats> serial_nodes =
+      CountersByNode(serial.get());
+  const std::map<const Expr*, ExecStats> parallel_nodes =
+      CountersByNode(parallel.get());
+  ASSERT_EQ(parallel_nodes.size(), serial_nodes.size()) << context;
+  for (const auto& [node, stats] : serial_nodes) {
+    auto it = parallel_nodes.find(node);
+    ASSERT_NE(it, parallel_nodes.end()) << context;
+    ExpectCountersEq(it->second, stats,
+                     context + " at " + node->ToString());
+  }
 }
 
 // --- MorselQueue ------------------------------------------------------------
@@ -134,10 +162,20 @@ class ParallelEquivTest : public ::testing::Test {
       db_.AddRow(s_, {key == 3 ? Value::Null() : Value::Int(key),
                       Value::Int(100 + i)});
     }
+    // T outweighs R by more than the hash join's flip share and spans
+    // more than kFlipMinBuildBatches batches of capacity 4, so a worker
+    // joining its share of R against T hashes R instead.
+    t_ = *db_.AddRelation("T", {"e", "f"});
+    e_ = db_.Attr("T", "e");
+    f_ = db_.Attr("T", "f");
+    for (int i = 0; i < 160; ++i) {
+      db_.AddRow(t_, {Value::Int(i % 9), Value::Int(i % 40)});
+    }
   }
 
   ExprPtr LeafR() const { return Expr::Leaf(r_, db_); }
   ExprPtr LeafS() const { return Expr::Leaf(s_, db_); }
+  ExprPtr LeafT() const { return Expr::Leaf(t_, db_); }
 
   std::vector<ExprPtr> SpineShapes() const {
     return {
@@ -167,8 +205,8 @@ class ParallelEquivTest : public ::testing::Test {
   }
 
   Database db_;
-  RelId r_, s_;
-  AttrId a_, b_, c_, d_;
+  RelId r_, s_, t_;
+  AttrId a_, b_, c_, d_, e_, f_;
 };
 
 TEST_F(ParallelEquivTest, EveryShapeAgreesAtEveryWorkerCount) {
@@ -178,6 +216,52 @@ TEST_F(ParallelEquivTest, EveryShapeAgreesAtEveryWorkerCount) {
         ExpectParallelMatchesSerial(expr, db_, threads, morsel_rows);
       }
     }
+  }
+}
+
+// Worker pipelines are the serial operators over a morsel scan, with
+// non-leaf off-spine inputs scanned from one shared materialization.
+TEST_F(ParallelEquivTest, WorkerPipelinesOfSerialOperatorsAgree) {
+  const std::vector<ExprPtr> shapes = {
+      // Non-leaf off-spine inputs: a filter, and a join.
+      Expr::Join(
+          LeafR(),
+          Expr::Restrict(LeafS(), CmpLit(CmpOp::kGe, d_, Value::Int(103))),
+          EqCols(a_, c_)),
+      Expr::Join(LeafR(), Expr::Join(LeafS(), LeafT(), EqCols(c_, e_)),
+                 EqCols(a_, c_)),
+      // Two joins stacked on the spine.
+      Expr::Join(Expr::Join(LeafR(), LeafS(), EqCols(a_, c_)), LeafT(),
+                 EqCols(b_, f_)),
+      // A GOJ whose spine passes through a hash join.
+      Expr::Goj(Expr::Join(LeafR(), LeafS(), EqCols(a_, c_)), LeafT(),
+                EqCols(b_, f_), AttrSet::Of({a_, d_})),
+  };
+  for (const ExprPtr& expr : shapes) {
+    for (int threads : {2, 4, 8}) {
+      ExpectParallelMatchesSerial(expr, db_, threads, 1);
+    }
+  }
+}
+
+// Every worker's share of R is under a quarter of T, so each worker's
+// ordinary hash join flips to hashing its R rows; rows and counters stay
+// the serial plan's.
+TEST_F(ParallelEquivTest, WorkerHashJoinFlipsBuildSide) {
+  ExprPtr expr = Expr::Join(LeafR(), LeafT(), EqCols(a_, e_));
+  for (int threads : {2, 4, 8}) {
+    ExpectParallelMatchesSerial(expr, db_, threads, 1);
+    ParallelOptions par;
+    par.threads = threads;
+    par.morsel_rows = 1;
+    par.batch_capacity = 4;
+    BatchIteratorPtr root = BuildParallelBatchIterator(expr, db_, par);
+    DrainBatches(root.get());
+    const PlanOpStats snapshot = SnapshotPlanStats(root.get());
+    ASSERT_EQ(snapshot.children.size(), 1u);
+    const PlanOpStats& join = snapshot.children[0];
+    EXPECT_EQ(join.physical_name, "HashJoin");
+    EXPECT_TRUE(join.built_left) << "w=" << threads;
   }
 }
 
@@ -301,6 +385,32 @@ TEST_F(ParallelEquivTest, ExplainAnalyzeShowsExchangeWithSerialTotals) {
   EXPECT_TRUE(BagEquals(serial.result, parallel.result));
   ExpectCountersEq(parallel.totals, serial.totals, "explain-analyze totals");
   EXPECT_EQ(parallel.base_tuples_read, serial.base_tuples_read);
+}
+
+// Off-spine inputs are read whole by every worker (a base relation) or
+// drained once into a shared materialization; either way each plan node
+// reports the serial plan's actual rows, so the estimator's per-node
+// Q-error does not grow with the worker count.
+TEST_F(ParallelEquivTest, ExplainAnalyzeQErrorMatchesSerial) {
+  const std::vector<ExprPtr> shapes = {
+      Expr::Join(LeafR(), LeafT(), EqCols(a_, e_)),
+      Expr::Join(
+          LeafR(),
+          Expr::Restrict(LeafS(), CmpLit(CmpOp::kGe, d_, Value::Int(103))),
+          EqCols(a_, c_)),
+      Expr::Goj(Expr::Join(LeafR(), LeafS(), EqCols(a_, c_)), LeafT(),
+                EqCols(b_, f_), AttrSet::Of({a_, d_})),
+  };
+  for (const ExprPtr& expr : shapes) {
+    ExplainAnalyzeResult serial =
+        ExplainAnalyze(expr, db_, JoinAlgo::kAuto, /*threads=*/1);
+    ExplainAnalyzeResult parallel =
+        ExplainAnalyze(expr, db_, JoinAlgo::kAuto, /*threads=*/4);
+    EXPECT_NE(parallel.text.find("Exchange"), std::string::npos)
+        << parallel.text;
+    EXPECT_DOUBLE_EQ(parallel.max_q_error, serial.max_q_error)
+        << serial.text << "\n" << parallel.text;
+  }
 }
 
 // --- facade -----------------------------------------------------------------
